@@ -8,6 +8,7 @@ failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -97,11 +98,7 @@ def save_scenario(cfg: world.ScenarioConfig, path) -> None:
 
 # --- train config files ----------------------------------------------------
 
-_TRAIN_KEYS = {"model", "alpha", "gamma", "eta_safe", "eta_unsafe",
-               "eta_deriv", "eta_ctrl", "lr_h", "lr_pi", "steps",
-               "rollout_length", "n_agents", "side_length", "n_obstacles",
-               "point_obstacles", "seed", "scale", "dt", "r",
-               "sensing_radius", "deriv_hinge_on_buffer", "checkpoint_every"}
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(training.TrainConfig)}
 
 
 def train_config_from_dict(d: dict) -> training.TrainConfig:

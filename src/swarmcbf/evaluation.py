@@ -107,7 +107,7 @@ def simulate_run(scenario: Scenario, spec: ControllerSpec,
     steps = 0
     for t in range(cfg.horizon):
         graph = None
-        if spec.needs_graph or obstacles:
+        if spec.needs_graph:
             scans = None
             if obstacles:
                 scans = [world.raycast(states[i, :model.space_dim],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,6 +74,18 @@ class PolicyParams:
     def tensors(self) -> list[Tensor]:
         return (self.embed.tensors() + self.gate.tensors()
                 + self.value.tensors() + self.head.tensors())
+
+
+def frozen(params):
+    """View of a parameter tree that shares its arrays but tracks no
+    gradients: a tape through it differentiates only its other inputs and
+    leaves every parameter's .grad untouched."""
+    def mlp(p: MlpParams) -> MlpParams:
+        return MlpParams([Tensor(W.data) for W in p.weights],
+                         [Tensor(b.data) for b in p.biases])
+
+    return replace(params, embed=mlp(params.embed), gate=mlp(params.gate),
+                   value=mlp(params.value), head=mlp(params.head))
 
 
 def _init_mlp(rng: np.random.Generator, dims: list[int],

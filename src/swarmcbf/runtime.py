@@ -6,6 +6,16 @@ estimates it: a virtual Euler step, a rebuilt graph at the stepped
 positions (LiDAR hit nodes stay frozen at their world positions), and a
 finite difference across the two evaluations.  Each agent's check assumes
 its neighbors apply their own nominal control for the virtual step.
+
+Refinement is batched.  Once the nominal check has flagged agents, each
+later stage runs once for all of them on one batch of ego graphs (segment k
+holds agent k's virtual in-edges): the learned-control check, every
+descent iteration, and the final re-check.  Because neighbors hold their
+nominal controls, an agent's residue depends on its own control alone, so
+one backward pass of the summed residues gives every agent its own
+gradient.  The descent tape reads the certificate through a frozen view
+(nets.frozen): it differentiates the controls only, and no weight gradient
+is computed or left in .grad.
 """
 from __future__ import annotations
 
@@ -64,7 +74,7 @@ def check_safe(barrier: BarrierParams, graph: GraphSnapshot,
     agent itself, nominal controls for everyone else.
 
     Returns (ok, h, hdot).  When candidates equal the nominals this costs a
-    single virtual world; otherwise one neighborhood evaluation per agent.
+    single virtual world; otherwise one batch of per-agent ego graphs.
     """
     model = graph.model
     h_now, _ = nets.barrier_values(barrier, graph)
@@ -75,54 +85,77 @@ def check_safe(barrier: BarrierParams, graph: GraphSnapshot,
     if np.array_equal(candidates, u_nom):
         g1 = virtual_graph(graph, X1_nom)
         h1, _ = nets.barrier_values(barrier, g1)
-        hdot = (h1 - h_now) / dt
     else:
-        hdot = np.zeros(graph.n_agents)
-        for i in range(graph.n_agents):
-            h1_i = _agent_h_virtual(barrier, graph, X1_nom, i, candidates[i], dt)
-            hdot[i] = (h1_i - h_now[i]) / dt
+        h1, _ = _virtual_h(barrier, graph, X1_nom,
+                           np.arange(graph.n_agents), candidates, dt)
+    hdot = (h1 - h_now) / dt
     ok = hdot + alpha * h_now >= 0.0
     return ok, h_now, hdot
 
 
-def _agent_neighborhood(graph: GraphSnapshot, X1_nom: np.ndarray, i: int,
-                        p_i1: np.ndarray):
-    """In-edge sources for agent i in the virtual world: agents within R of
-    its stepped position, plus its own frozen hit nodes."""
+@dataclass
+class _EgoEdges:
+    """Virtual in-edges of a batch of agents, one segment per agent.
+
+    Segment k holds the in-edges of agent rows[k]: the agents within R of
+    its stepped position, at their nominal next states and in index order,
+    then its own frozen LiDAR hits.  src holds the source embeddings.
+    """
+    rows: np.ndarray    # (k,) agent indices
+    seg: np.ndarray     # (E,) segment per edge, nondecreasing
+    src: np.ndarray     # (E, edge_dim)
+    flag: np.ndarray    # (E,) 0 agent source, 1 hit
+
+    def subset(self, keep: np.ndarray) -> "_EgoEdges":
+        """The segments of rows[keep] (increasing local indices), renumbered."""
+        new_id = np.full(self.rows.shape[0], -1, dtype=np.intp)
+        new_id[keep] = np.arange(keep.shape[0])
+        seg = new_id[self.seg]
+        e = seg >= 0
+        return _EgoEdges(self.rows[keep], seg[e], self.src[e], self.flag[e])
+
+
+def _ego_edges(graph: GraphSnapshot, X1_nom: np.ndarray, rows: np.ndarray,
+               X1_rows: np.ndarray) -> _EgoEdges:
+    """In-edges of each agent rows[k] in the virtual world where it stands
+    at X1_rows[k] and every other agent at its nominal next state."""
     model = graph.model
     sd = model.space_dim
-    d = np.linalg.norm(X1_nom[:, :sd] - p_i1, axis=1)
-    d[i] = np.inf
-    nbrs = np.nonzero(d <= graph.R)[0]
-    hits = np.nonzero(graph.hit_owner == i)[0]
-    return nbrs, hits
+    k = rows.shape[0]
+    d = np.linalg.norm(X1_nom[None, :, :sd] - X1_rows[:, None, :sd], axis=2)
+    d[np.arange(k), rows] = np.inf
+    seg_a, src_a = np.nonzero(d <= graph.R)
+    slot = np.full(graph.n_agents, -1, dtype=np.intp)
+    slot[rows] = np.arange(k)
+    hit_seg = slot[graph.hit_owner]
+    hits = np.nonzero(hit_seg >= 0)[0]
+    seg = np.concatenate([seg_a, hit_seg[hits]])
+    src = np.concatenate([dynamics.state_embedding(model, X1_nom[src_a]),
+                          dynamics.hit_embedding(model, graph.hit_pos[hits])])
+    flag = np.concatenate([np.zeros(src_a.shape[0]), np.ones(hits.shape[0])])
+    order = np.argsort(seg, kind="stable")   # agents before hits per segment
+    return _EgoEdges(rows, seg[order], src[order], flag[order])
 
 
-def _agent_h_virtual(barrier: BarrierParams, graph: GraphSnapshot,
-                     X1_nom: np.ndarray, i: int, u_i: np.ndarray,
-                     dt: float) -> float:
-    """h_i after a virtual step where agent i applies u_i, neighbors their
-    nominal (plain numpy)."""
+def _ego_h(barrier: BarrierParams, edges: _EgoEdges, emb) -> Tensor:
+    """Certificate values, shape (k, 1), of the batch's agents embedded at
+    emb (an array, or a tensor when differentiating)."""
+    feat = ad.sub(edges.src, ad.gather(emb, edges.seg))
+    h, _ = nets.barrier_forward_edges(barrier, feat, edges.flag, edges.seg,
+                                      edges.rows.shape[0])
+    return h
+
+
+def _virtual_h(barrier: BarrierParams, graph: GraphSnapshot,
+               X1_nom: np.ndarray, rows: np.ndarray, U: np.ndarray,
+               dt: float) -> tuple[np.ndarray, _EgoEdges]:
+    """h of each agent rows[k] after a virtual step where it applies U[k]
+    and everyone else the nominal (plain numpy); also returns the in-edges."""
     model = graph.model
-    x1_i = dynamics.step(model, graph.states[i], u_i, dt)
-    nbrs, hits = _agent_neighborhood(graph, X1_nom, i, x1_i[:model.space_dim])
-    emb_i = dynamics.state_embedding(model, x1_i[None, :])[0]
-    feats, flags = [], []
-    if nbrs.size:
-        feats.append(dynamics.state_embedding(model, X1_nom[nbrs]) - emb_i)
-        flags.append(np.zeros(nbrs.size))
-    if hits.size:
-        feats.append(dynamics.hit_embedding(model, graph.hit_pos[hits]) - emb_i)
-        flags.append(np.ones(hits.size))
-    if feats:
-        feat = np.concatenate(feats, axis=0)
-        flag = np.concatenate(flags)
-    else:
-        feat = np.zeros((0, dynamics.edge_feature_dim(model)))
-        flag = np.zeros(0)
-    h, _ = nets.barrier_forward_edges(barrier, Tensor(feat), flag,
-                                      np.zeros(feat.shape[0], dtype=np.intp), 1)
-    return float(h.data[0, 0])
+    X1 = dynamics.step_batch(model, graph.states[rows], U, dt)
+    edges = _ego_edges(graph, X1_nom, rows, X1)
+    h = _ego_h(barrier, edges, dynamics.state_embedding(model, X1))
+    return h.data[:, 0], edges
 
 
 def residue(gamma: float, hdot: float, alpha: float, h: float) -> float:
@@ -130,76 +163,105 @@ def residue(gamma: float, hdot: float, alpha: float, h: float) -> float:
     return max(0.0, gamma - hdot - alpha * h)
 
 
+def _make_residue_rows(barrier: BarrierParams, graph: GraphSnapshot,
+                       edges: _EgoEdges, h: np.ndarray, dt: float,
+                       alpha: float, gamma: float):
+    """Batched residue: maps (active, U), U holding controls for the agents
+    edges.rows[active], to their residues and each one's own gradient.
+
+    The in-edges stay frozen as given, so the objective is continuous
+    across descent iterations.  Neighbors hold their nominal controls, so
+    agent k's residue depends on U[k] alone and one backward pass of the
+    summed residues yields every row's gradient.  The certificate is read
+    through a frozen view: no weight gradient is computed or stored.
+    """
+    model = graph.model
+    barrier = nets.frozen(barrier)
+    n_rows = edges.rows.shape[0]
+
+    def value_and_grad(active: np.ndarray, U: np.ndarray):
+        sub = edges if active.shape[0] == n_rows else edges.subset(active)
+        h_a = h[active][:, None]
+        u = Tensor(U, requires_grad=True)
+        with Tape() as tape:
+            x1 = dynamics.virtual_step_tensor(model, graph.states[sub.rows], u, dt)
+            h1 = _ego_h(barrier, sub, dynamics.state_embedding_tensor(model, x1))
+            hdot = ad.mul(ad.sub(h1, h_a), 1.0 / dt)
+            delta = ad.relu(ad.sub(gamma - alpha * h_a, hdot))
+            vals = delta.data[:, 0].copy()
+            if delta.requires_grad and (vals > 0.0).any():
+                tape.backward(ad.tensor_sum(delta))
+        # u.grad stays None when no residue depends on the controls
+        grads = np.zeros_like(U) if u.grad is None else u.grad
+        return vals, grads
+
+    return value_and_grad
+
+
 def _make_residue_fn(barrier: BarrierParams, graph: GraphSnapshot,
                      X1_nom: np.ndarray, i: int, h_i: float, dt: float,
                      alpha: float, gamma: float):
-    """Closure mapping a control for agent i to (residue, d residue / du).
-
-    The in-edge topology is fixed at the entry control's virtual position
-    so the objective stays continuous across descent iterations.
-    """
-    model = graph.model
-    x_i = graph.states[i]
-    nbrs, hits = None, None
+    """One-agent view of the batched residue: maps a control for agent i to
+    (residue, d residue / du), in-edges frozen at the first control."""
+    rows = np.array([i], dtype=np.intp)
+    only = np.zeros(1, dtype=np.intp)
+    fn = None
 
     def value_and_grad(u_val: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal nbrs, hits
-        if nbrs is None:
-            x1_probe = dynamics.step(model, x_i, u_val, dt)
-            nbrs, hits = _agent_neighborhood(graph, X1_nom, i,
-                                             x1_probe[:model.space_dim])
-        nbr_emb = dynamics.state_embedding(model, X1_nom[nbrs]) if nbrs.size else None
-        hit_emb = dynamics.hit_embedding(model, graph.hit_pos[hits]) if hits.size else None
-        u = Tensor(u_val[None, :], requires_grad=True)
-        with Tape() as tape:
-            x1 = dynamics.virtual_step_tensor(model, x_i[None, :], u, dt)
-            emb_i = dynamics.state_embedding_tensor(model, x1)
-            feats, flags = [], []
-            if nbr_emb is not None:
-                feats.append(ad.sub(nbr_emb, emb_i))
-                flags.append(np.zeros(nbrs.size))
-            if hit_emb is not None:
-                feats.append(ad.sub(hit_emb, emb_i))
-                flags.append(np.ones(hits.size))
-            if feats:
-                feat = ad.concat(feats, axis=0)
-                flag = np.concatenate(flags)
-            else:
-                feat = Tensor(np.zeros((0, dynamics.edge_feature_dim(model))))
-                flag = np.zeros(0)
-            h1, _ = nets.barrier_forward_edges(
-                barrier, feat, flag, np.zeros(feat.shape[0], dtype=np.intp), 1)
-            hdot = ad.mul(ad.sub(h1, h_i), 1.0 / dt)
-            raw = ad.sub(gamma - alpha * h_i, hdot)
-            delta = ad.relu(raw)
-            val = float(delta.data[0, 0])
-            grad = np.zeros_like(u_val)
-            if val > 0.0 and delta.requires_grad:
-                tape.backward(ad.tensor_sum(delta))
-                if u.grad is not None:   # residue may not depend on u at all
-                    grad = u.grad[0].copy()
-        return val, grad
+        nonlocal fn
+        u = np.asarray(u_val, dtype=np.float64)[None, :]
+        if fn is None:
+            x1 = dynamics.step_batch(graph.model, graph.states[rows], u, dt)
+            fn = _make_residue_rows(barrier, graph, _ego_edges(graph, X1_nom, rows, x1),
+                                    np.array([h_i]), dt, alpha, gamma)
+        vals, grads = fn(only, u)
+        return float(vals[0]), grads[0]
 
     return value_and_grad
+
+
+def _descend_rows(value_and_grad, U0: np.ndarray, config: RefineConfig,
+                  clip_bound: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected gradient descent on a batch of independent nonnegative
+    residues.  value_and_grad(active, U) evaluates rows `active` at U.
+
+    Each row keeps its own iterate, best iterate and iteration count, and
+    stops being evaluated once its best residue reaches 0 or it has spent
+    config.max_iters iterations.
+    """
+    U = np.array(U0, dtype=np.float64)
+    vals, grads = value_and_grad(np.arange(U.shape[0]), U)
+    best_U, best_val = U.copy(), np.array(vals, dtype=np.float64)
+    grads = np.array(grads, dtype=np.float64)
+    iters = np.zeros(U.shape[0], dtype=int)
+    for _ in range(config.max_iters):
+        active = np.nonzero(best_val > 0.0)[0]
+        if not active.size:
+            break
+        Ua = U[active] - config.step_size * grads[active]
+        if clip_bound is not None:
+            Ua = np.clip(Ua, -clip_bound, clip_bound)
+        U[active] = Ua
+        vals, g = value_and_grad(active, Ua)
+        grads[active] = g
+        better = vals < best_val[active]
+        best_val[active[better]] = vals[better]
+        best_U[active[better]] = Ua[better]
+        iters[active] += 1
+    return best_U, best_val, iters
 
 
 def descend_residue(value_and_grad, u0: np.ndarray, config: RefineConfig,
                     clip_bound: float | None = None) -> tuple[np.ndarray, float, int]:
     """Projected gradient descent on a nonnegative residue; returns the
     best iterate seen, its residue, and the iterations spent."""
-    u = np.asarray(u0, dtype=np.float64).copy()
-    val, grad = value_and_grad(u)
-    best_u, best_val = u.copy(), val
-    iters = 0
-    while iters < config.max_iters and best_val > 0.0:
-        u = u - config.step_size * grad
-        if clip_bound is not None:
-            u = np.clip(u, -clip_bound, clip_bound)
-        val, grad = value_and_grad(u)
-        if val < best_val:
-            best_val, best_u = val, u.copy()
-        iters += 1
-    return best_u, best_val, iters
+    def one_row(active, U):
+        val, grad = value_and_grad(U[0])
+        return np.array([val]), np.asarray(grad)[None, :]
+
+    U, vals, iters = _descend_rows(one_row, np.asarray(u0)[None, :], config,
+                                   clip_bound)
+    return U[0], float(vals[0]), int(iters[0])
 
 
 def refine(barrier: BarrierParams, graph: GraphSnapshot, i: int,
@@ -221,46 +283,46 @@ def select_control(barrier: BarrierParams, policy: PolicyParams,
                    alpha: float, config: RefineConfig | None = None,
                    use_refine: bool = True) -> list[ControlDecision]:
     """Per-agent switching: nominal when it passes the detector, otherwise
-    the learned control, refined if it still violates."""
+    the learned control, refined if it still violates.
+
+    Each stage runs once for all the agents it concerns: the learned check
+    over the flagged agents, then each descent iteration and the final
+    re-check over those the learned control did not clear.
+    """
     if config is None:
         config = RefineConfig()
     model = graph.model
     u_nom = np.atleast_2d(np.asarray(u_nom, dtype=np.float64))
-    ok, h_now, hdot_nom = check_safe(barrier, graph, u_nom, u_nom, dt, alpha)
+    ok, h_now, hdot = check_safe(barrier, graph, u_nom, u_nom, dt, alpha)
+    controls = u_nom.copy()
+    modes = ["nominal"] * graph.n_agents
 
-    decisions: list[ControlDecision] = []
     flagged = np.nonzero(~ok)[0]
-    u_nn = None
-    X1_nom = None
     if flagged.size:
         u_nn = nets.policy_controls(policy, graph, u_nom, model.control_bound)
         X1_nom = dynamics.step_batch(model, graph.states, u_nom, dt)
+        h1, edges = _virtual_h(barrier, graph, X1_nom, flagged, u_nn[flagged], dt)
+        hdot[flagged] = (h1 - h_now[flagged]) / dt
+        controls[flagged] = u_nn[flagged]
+        failed = np.nonzero(~(hdot[flagged] + alpha * h_now[flagged] >= 0.0))[0]
+        rows = flagged[failed]
+        for i in flagged:
+            modes[i] = "learned"
+        if rows.size:
+            U = u_nn[rows]
+            if use_refine:
+                fn = _make_residue_rows(barrier, graph, edges.subset(failed),
+                                        h_now[rows], dt, alpha, config.gamma)
+                U, _, _ = _descend_rows(fn, U, config, model.control_bound)
+            h1, _ = _virtual_h(barrier, graph, X1_nom, rows, U, dt)
+            hdot[rows] = (h1 - h_now[rows]) / dt
+            controls[rows] = U
+            for i in rows:
+                modes[i] = "refined"
 
-    for i in range(graph.n_agents):
-        if ok[i]:
-            decisions.append(ControlDecision(
-                control=u_nom[i].copy(), mode="nominal",
-                h_value=float(h_now[i]), hdot_value=float(hdot_nom[i])))
-            continue
-        h1_i = _agent_h_virtual(barrier, graph, X1_nom, i, u_nn[i], dt)
-        hdot_i = (h1_i - h_now[i]) / dt
-        if hdot_i + alpha * h_now[i] >= 0.0:
-            decisions.append(ControlDecision(
-                control=u_nn[i].copy(), mode="learned",
-                h_value=float(h_now[i]), hdot_value=float(hdot_i)))
-            continue
-        u_i = u_nn[i]
-        if use_refine:
-            fn = _make_residue_fn(barrier, graph, X1_nom, i, float(h_now[i]),
-                                  dt, alpha, config.gamma)
-            u_i, _, _ = descend_residue(fn, u_nn[i], config,
-                                        clip_bound=model.control_bound)
-        h1_i = _agent_h_virtual(barrier, graph, X1_nom, i, u_i, dt)
-        hdot_i = (h1_i - h_now[i]) / dt
-        decisions.append(ControlDecision(
-            control=u_i.copy(), mode="refined",
-            h_value=float(h_now[i]), hdot_value=float(hdot_i)))
-    return decisions
+    return [ControlDecision(control=controls[i], mode=modes[i],
+                            h_value=float(h_now[i]), hdot_value=float(hdot[i]))
+            for i in range(graph.n_agents)]
 
 
 def decisions_to_controls(decisions: list[ControlDecision]) -> np.ndarray:

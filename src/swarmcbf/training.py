@@ -526,7 +526,7 @@ def train(cfg: TrainConfig, sampler=None, out_dir: str | None = None,
                 raise TrainingDiverged(
                     f"non-finite loss at step {step}",
                     {"step": step, "parts": parts, "epsilon": eps,
-                     "scenario_seed": scenario.config.seed})
+                     "scenario_seed": env.scenario.config.seed})
             tape.backward(total)
         opt_h.step()
         opt_pi.step()

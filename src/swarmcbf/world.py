@@ -449,10 +449,11 @@ class WorldStep:
 def collision_flags(model: DynamicsModel, states: np.ndarray,
                     obstacles, r: float) -> np.ndarray:
     """Agent i collides if another agent is within 2r or an obstacle
-    surface is within r of its position."""
+    surface is within r of its position.  An agent whose position is not
+    finite has left the simulation and counts as collided."""
     pos = states[:, :model.space_dim]
     n = pos.shape[0]
-    flags = np.zeros(n, dtype=bool)
+    flags = ~np.isfinite(pos).all(axis=1)
     if n > 1:
         diff = pos[:, None, :] - pos[None, :, :]
         d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

@@ -69,6 +69,17 @@ def test_train_config_strict_keys():
         cli.train_config_from_dict({"model": "SimpleCar", "bogus": 1})
 
 
+def test_train_config_accepts_every_trainconfig_field(tmp_path):
+    path = write_json(tmp_path / "t.json",
+                      train_dict(dense_fraction=0.3, dense_side_factor=0.5,
+                                 paired_fraction=0.25, spawn_speed=0.5))
+    cfg = cli.load_train_config(path)
+    assert (cfg.dense_fraction, cfg.dense_side_factor) == (0.3, 0.5)
+    assert (cfg.paired_fraction, cfg.spawn_speed) == (0.25, 0.5)
+    with pytest.raises(ConfigError, match="dense_fractions"):
+        cli.train_config_from_dict({"model": "SimpleCar", "dense_fractions": 0.3})
+
+
 def test_train_zero_steps_writes_init_checkpoint(tmp_path):
     cfg_path = write_json(tmp_path / "t.json", train_dict(steps=0))
     rc = main(["--out-dir", str(tmp_path), "train", "--config", cfg_path])

@@ -104,6 +104,46 @@ def test_run_suite_obstacles_ratio():
     assert len(rows) == 1   # ratio agents:obstacles = 4 -> 2 obstacles placed
 
 
+def test_graph_free_controller_does_not_sense(monkeypatch):
+    """Nominal runs never read the graph: no raycast, and the result equals
+    a plain nominal rollout bit for bit."""
+    cfg = world.make_scenario_config("SimpleCar", 8, "obstacles", 2,
+                                     horizon=60, n_obstacles=4)
+    scn = world.generate_scenario(cfg)
+    assert scn.obstacles
+    calls = []
+    raycast = world.raycast
+    monkeypatch.setattr(world, "raycast",
+                        lambda *a, **k: calls.append(1) or raycast(*a, **k))
+    run = simulate_run(scn, ControllerSpec(kind="nominal"), record=True)
+    assert not calls
+
+    model = dyn.make_model(cfg.model)
+    states, obstacles = scn.states.copy(), tuple(scn.obstacles)
+    collided = np.zeros(cfg.n_agents, dtype=bool)
+    controls = []
+    for t in range(cfg.horizon):
+        u = dyn.nominal_control_batch(model, states, scn.goals, cfg.dt)
+        controls.append(u)
+        stp = world.step_world(model, states, u, obstacles, scn.goals, cfg.dt, cfg.r)
+        states, obstacles = stp.states, stp.obstacles
+        collided |= stp.collided
+        if stp.all_reached:
+            break
+    assert run.steps_used == t + 1
+    assert np.array_equal(run.final_states, states)
+    assert np.array_equal(run.collided_ever, collided)
+    assert np.array_equal(run.reached_final,
+                          world.goals_reached(model, states, scn.goals, cfg.r))
+    applied = np.array([r["control"] for r in run.trajectory])
+    assert np.array_equal(applied, np.concatenate(controls))
+
+    b, p = nets.init(0, 0.125, dyn.edge_feature_dim(model), model.control_dim)
+    simulate_run(scn, ControllerSpec(kind="learned", barrier=b, policy=p,
+                                     refine=evaluation.RefineConfig(max_iters=0)))
+    assert calls, "the learned controller still senses its obstacles"
+
+
 def test_learned_controller_requires_params():
     with pytest.raises(ValueError):
         ControllerSpec(kind="learned")

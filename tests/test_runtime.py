@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmcbf import dynamics as dyn, nets, runtime, training, world
+from swarmcbf import autodiff as ad, dynamics as dyn, nets, runtime, training, world
 from swarmcbf.runtime import RefineConfig
 
 CAR = dyn.make_model("SimpleCar")
@@ -229,3 +229,173 @@ def test_two_agent_forward_invariance_after_training():
     assert frac == 1.0, f"conditions violated inside the window ({frac:.3f})"
     assert not any(collisions)
     assert min(separations) > 2 * scn_cfg.r, f"min separation {min(separations)}"
+
+
+# --- per-agent reference for the batched refinement -------------------------
+#
+# The runtime evaluates every flagged agent in one batch of ego graphs per
+# stage.  This is the loop it replaced: one plain forward per agent for each
+# check and one tape per agent per descent iteration.
+
+def _ref_neighborhood(graph, X1_nom, i, p_i1):
+    sd = graph.model.space_dim
+    d = np.linalg.norm(X1_nom[:, :sd] - p_i1, axis=1)
+    d[i] = np.inf
+    return np.nonzero(d <= graph.R)[0], np.nonzero(graph.hit_owner == i)[0]
+
+
+def _ref_h_virtual(barrier, graph, X1_nom, i, u_i, dt):
+    model = graph.model
+    x1_i = dyn.step(model, graph.states[i], u_i, dt)
+    nbrs, hits = _ref_neighborhood(graph, X1_nom, i, x1_i[:model.space_dim])
+    emb_i = dyn.state_embedding(model, x1_i[None, :])[0]
+    feat = np.concatenate(
+        [dyn.state_embedding(model, X1_nom[nbrs]) - emb_i,
+         dyn.hit_embedding(model, graph.hit_pos[hits]) - emb_i], axis=0)
+    flag = np.concatenate([np.zeros(nbrs.size), np.ones(hits.size)])
+    h, _ = nets.barrier_forward_edges(barrier, ad.Tensor(feat), flag,
+                                      np.zeros(feat.shape[0], dtype=np.intp), 1)
+    return float(h.data[0, 0])
+
+
+def _ref_residue_fn(barrier, graph, X1_nom, i, h_i, dt, alpha, gamma):
+    model = graph.model
+    x_i = graph.states[i]
+    topo = []
+
+    def value_and_grad(u_val):
+        if not topo:
+            x1 = dyn.step(model, x_i, u_val, dt)
+            topo.extend(_ref_neighborhood(graph, X1_nom, i, x1[:model.space_dim]))
+        nbrs, hits = topo
+        u = ad.Tensor(u_val[None, :], requires_grad=True)
+        with ad.Tape() as tape:
+            x1 = dyn.virtual_step_tensor(model, x_i[None, :], u, dt)
+            emb_i = dyn.state_embedding_tensor(model, x1)
+            feat = ad.concat(
+                [ad.sub(dyn.state_embedding(model, X1_nom[nbrs]), emb_i),
+                 ad.sub(dyn.hit_embedding(model, graph.hit_pos[hits]), emb_i)],
+                axis=0)
+            flag = np.concatenate([np.zeros(nbrs.size), np.ones(hits.size)])
+            h1, _ = nets.barrier_forward_edges(
+                barrier, feat, flag, np.zeros(feat.shape[0], dtype=np.intp), 1)
+            hdot = ad.mul(ad.sub(h1, h_i), 1.0 / dt)
+            delta = ad.relu(ad.sub(gamma - alpha * h_i, hdot))
+            val = float(delta.data[0, 0])
+            grad = np.zeros_like(u_val)
+            if val > 0.0 and delta.requires_grad:
+                tape.backward(ad.tensor_sum(delta))
+                if u.grad is not None:
+                    grad = u.grad[0].copy()
+        return val, grad
+
+    return value_and_grad
+
+
+def _ref_descend(fn, u0, config, clip_bound):
+    u = u0.copy()
+    val, grad = fn(u)
+    best_u, best_val = u.copy(), val
+    iters = 0
+    while iters < config.max_iters and best_val > 0.0:
+        u = np.clip(u - config.step_size * grad, -clip_bound, clip_bound)
+        val, grad = fn(u)
+        if val < best_val:
+            best_val, best_u = val, u.copy()
+        iters += 1
+    return best_u
+
+
+def _ref_select_control(barrier, policy, graph, u_nom, dt, alpha, config):
+    model = graph.model
+    ok, h_now, hdot_nom = runtime.check_safe(barrier, graph, u_nom, u_nom, dt, alpha)
+    u_nn = nets.policy_controls(policy, graph, u_nom, model.control_bound)
+    X1_nom = dyn.step_batch(model, graph.states, u_nom, dt)
+    out = []
+    for i in range(graph.n_agents):
+        if ok[i]:
+            out.append((u_nom[i], "nominal", hdot_nom[i]))
+            continue
+        hdot_i = (_ref_h_virtual(barrier, graph, X1_nom, i, u_nn[i], dt) - h_now[i]) / dt
+        if hdot_i + alpha * h_now[i] >= 0.0:
+            out.append((u_nn[i], "learned", hdot_i))
+            continue
+        fn = _ref_residue_fn(barrier, graph, X1_nom, i, float(h_now[i]), dt,
+                             alpha, config.gamma)
+        u_i = _ref_descend(fn, u_nn[i], config, model.control_bound)
+        hdot_i = (_ref_h_virtual(barrier, graph, X1_nom, i, u_i, dt) - h_now[i]) / dt
+        out.append((u_i, "refined", hdot_i))
+    return out
+
+
+def _flip_head(barrier):
+    for t in barrier.head.weights + barrier.head.biases:
+        t.data *= -1.0
+
+
+def _crowd(model, rng, n, side, obstacles=()):
+    states = np.zeros((n, model.state_dim))
+    states[:, :model.space_dim] = rng.uniform(0, side, size=(n, model.space_dim))
+    sl = dyn.velocity_slice(model)
+    states[:, sl] = 0.5 * rng.normal(size=(n, sl.stop - sl.start))
+    goals = rng.uniform(0, side, size=(n, model.space_dim))
+    scans = None
+    if obstacles:
+        scans = [world.raycast(states[i, :model.space_dim], list(obstacles), 32, 1.0)
+                 for i in range(n)]
+    return world.build_graph(model, states, goals, scans, 1.0)
+
+
+@pytest.mark.parametrize("kind, obstacles", [
+    ("SimpleCar", (world.Obstacle.circle([1.0, 1.2], 0.3),
+                   world.Obstacle.rect([2.2, 0.8], [0.4, 0.9]))),
+    ("DubinsCar", ()),
+    ("SimpleDrone", ()),
+])
+def test_batched_select_control_matches_per_agent_reference(kind, obstacles):
+    model = dyn.make_model(kind)
+    cfg = RefineConfig()
+    rng = np.random.default_rng(11)
+    refined = hits = 0
+    for seed in range(3):
+        b, p = nets.init(seed, 0.125, dyn.edge_feature_dim(model), model.control_dim)
+        _flip_head(b)
+        g = _crowd(model, rng, 8, 2.5, obstacles)
+        hits += g.hit_pos.shape[0]
+        u_nom = dyn.nominal_control_batch(model, g.states, g.goals)
+        got = runtime.select_control(b, p, g, u_nom, 0.03, 1.0, cfg)
+        want = _ref_select_control(b, p, g, u_nom, 0.03, 1.0, cfg)
+        for d, (u, mode, hdot) in zip(got, want):
+            assert d.mode == mode
+            np.testing.assert_allclose(d.control, u, rtol=0, atol=1e-12)
+            assert d.hdot_value == pytest.approx(hdot, rel=0, abs=1e-9)
+        refined += sum(d.mode == "refined" for d in got)
+    assert refined >= 5, "the flipped head should make agents refine"
+    if obstacles:
+        assert hits > 0
+
+
+def test_batched_check_safe_matches_per_agent_reference():
+    rng = np.random.default_rng(2)
+    b, _ = fresh(seed=3)
+    g = _crowd(CAR, rng, 10, 2.5, (world.Obstacle.circle([1.2, 1.2], 0.4),))
+    u_nom = dyn.nominal_control_batch(CAR, g.states, g.goals)
+    cand = u_nom + rng.normal(size=u_nom.shape)
+    _, h, hdot = runtime.check_safe(b, g, cand, u_nom, 0.03, 1.0)
+    X1_nom = dyn.step_batch(CAR, g.states, u_nom, 0.03)
+    want = [(_ref_h_virtual(b, g, X1_nom, i, cand[i], 0.03) - h[i]) / 0.03
+            for i in range(g.n_agents)]
+    np.testing.assert_allclose(hdot, want, rtol=0, atol=1e-9)
+
+
+def test_inference_leaves_no_parameter_gradients():
+    rng = np.random.default_rng(4)
+    b, p = fresh(seed=5)
+    _flip_head(b)
+    g = _crowd(CAR, rng, 8, 2.5, (world.Obstacle.circle([1.2, 1.2], 0.4),))
+    u_nom = dyn.nominal_control_batch(CAR, g.states, g.goals)
+    modes = [d.mode for d in runtime.select_control(b, p, g, u_nom, 0.03, 1.0)]
+    assert "refined" in modes
+    runtime.refine(b, g, modes.index("refined"), u_nom[0], u_nom, 0.03, 1.0,
+                   RefineConfig())
+    assert all(t.grad is None for t in b.tensors() + p.tensors())

@@ -296,6 +296,25 @@ def test_train_divergence_aborts_with_diagnostics():
     assert "step" in exc.value.diagnostics
 
 
+def test_train_raises_diverged_on_nan_state():
+    """A NaN velocity reaches the loss; train() itself must raise the
+    documented error with its diagnostics."""
+    scn = small_scenario(seed=1)
+
+    def nan_sampler(rng):
+        states = scn.states.copy()
+        states[0, 2] = np.nan
+        return world.Scenario(config=scn.config, states=states, goals=scn.goals,
+                              obstacles=scn.obstacles)
+
+    with pytest.raises(training.TrainingDiverged) as exc:
+        training.train(desk_cfg(steps=2, rollout_length=4), sampler=nan_sampler)
+    diag = exc.value.diagnostics
+    assert diag["step"] == 0
+    assert diag["scenario_seed"] == scn.config.seed
+    assert not np.isfinite(diag["parts"]["loss_total"])
+
+
 def test_train_writes_log_and_checkpoints(tmp_path):
     cfg = desk_cfg(steps=4, rollout_length=4, checkpoint_every=2)
     training.train(cfg, out_dir=str(tmp_path))

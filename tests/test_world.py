@@ -225,6 +225,13 @@ def test_collision_flags_pairwise():
     assert step.collided.all()
 
 
+def test_collision_flags_nonfinite_agent_counts_as_collided():
+    states = np.array([[0, 0, 0, 0], [np.nan, 0, 0, 0], [0.05, 0, 0, 0],
+                       [5, np.inf, 0, 0], [9, 9, np.nan, 0]], dtype=float)
+    flags = world.collision_flags(CAR, states, (), 0.05)
+    assert flags.tolist() == [True, True, True, True, False]
+
+
 def test_obstacle_translation():
     ob = Obstacle.circle([1.0, 1.0], 0.1, velocity=[0.2, 0.0])
     step = step_world(CAR, car_states([[5, 5]]), np.zeros((1, 2)), (ob,),
