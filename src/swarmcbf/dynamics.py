@@ -58,14 +58,6 @@ def make_model(kind: str, control_bound: float = 10.0,
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """State vector plus goal position for one agent."""
-    x: np.ndarray
-    goal: np.ndarray
-    id: int = 0
-
-
-@dataclass(frozen=True)
 class CrazyFlieParams:
     m: float = 0.0299                # kg
     I_xx: float = 1.395e-5           # kg m^2

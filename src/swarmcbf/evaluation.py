@@ -108,11 +108,8 @@ def simulate_run(scenario: Scenario, spec: ControllerSpec,
     for t in range(cfg.horizon):
         graph = None
         if spec.needs_graph:
-            scans = None
-            if obstacles:
-                scans = [world.raycast(states[i, :model.space_dim],
-                                       list(obstacles), n_rays, R)
-                         for i in range(cfg.n_agents)]
+            scans = world.scan_all(states[:, :model.space_dim], obstacles,
+                                   n_rays, R)
             graph = build_graph(model, states, goals, scans, R)
         t0 = time.perf_counter()
         controls, modes, hs, solve_time = _controller_step(

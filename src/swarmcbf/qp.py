@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .world import pairs_within
+
 
 def pair_h(x1: np.ndarray, x2: np.ndarray, r: float) -> float:
     x1 = np.asarray(x1, dtype=np.float64)
@@ -257,17 +259,6 @@ def _check_simplecar(states: np.ndarray, nominals: np.ndarray):
     return states, nominals
 
 
-def _pairs_within(states: np.ndarray, R: float) -> list[tuple[int, int]]:
-    pos = states[:, :2]
-    n = pos.shape[0]
-    out = []
-    for i in range(n):
-        d = np.linalg.norm(pos[i + 1:] - pos[i], axis=1)
-        for k in np.nonzero(d <= R)[0]:
-            out.append((i, i + 1 + int(k)))
-    return out
-
-
 def _speed_cap_row(v: np.ndarray, speed_bound: float, dt: float):
     """Linearized speed limit: the along-velocity acceleration may not push
     the speed past the bound, i.e. vhat . a <= (u_M - |v|) / dt.
@@ -291,7 +282,9 @@ def centralized_filter(states: np.ndarray, nominals: np.ndarray, alpha: float,
     hdot + alpha h >= margin."""
     states, nominals = _check_simplecar(states, nominals)
     n = states.shape[0]
-    pairs = _pairs_within(states, R)
+    qi, pj, _ = pairs_within(states[:, :2], states[:, :2], R)
+    upper = qi < pj
+    pairs = zip(qi[upper].tolist(), pj[upper].tolist())
 
     t0 = time.perf_counter()
     rows, rhs = [], []
@@ -343,16 +336,17 @@ def decentralized_filter(states: np.ndarray, nominals: np.ndarray, alpha: float,
     """Per-agent 2-variable QPs; neighbors assumed to apply their nominal."""
     states, nominals = _check_simplecar(states, nominals)
     n = states.shape[0]
-    pos = states[:, :2]
+    qi, pj, _ = pairs_within(states[:, :2], states[:, :2], R)
+    other = qi != pj
+    qi, pj = qi[other], pj[other]
+    first = np.searchsorted(qi, np.arange(n + 1))
     controls = np.zeros_like(nominals)
     fallback = np.zeros(n, dtype=bool)
     total_rows = 0
     degenerate = 0
     solve_time = 0.0
     for i in range(n):
-        d = np.linalg.norm(pos - pos[i], axis=1)
-        d[i] = np.inf
-        nbrs = np.nonzero(d <= R)[0]
+        nbrs = pj[first[i]:first[i + 1]]
         t0 = time.perf_counter()
         rows, rhs = [], []
         for j in nbrs:

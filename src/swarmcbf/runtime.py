@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import dynamics, nets
+from . import dynamics, nets, world
 from .autodiff import Tensor, Tape
 from .nets import BarrierParams, PolicyParams
-from .world import GraphSnapshot, build_graph
+from .world import GraphSnapshot, pairs_within
 
 
 @dataclass
@@ -48,23 +48,8 @@ class ControlDecision:
 def virtual_graph(graph: GraphSnapshot, next_states: np.ndarray) -> GraphSnapshot:
     """Graph after a virtual step: topology rebuilt from the stepped
     positions, hit nodes kept frozen in the world frame."""
-    model = graph.model
-    sd = model.space_dim
-    g = build_graph(model, next_states, graph.goals, None, graph.R)
-    h = graph.hit_pos.shape[0]
-    if h == 0:
-        return g
-    emb = dynamics.state_embedding(model, next_states)
-    feat_h = dynamics.hit_embedding(model, graph.hit_pos) - emb[graph.hit_owner]
-    g.hit_pos = graph.hit_pos
-    g.hit_owner = graph.hit_owner
-    g.edge_dst = np.concatenate([g.edge_dst, graph.hit_owner])
-    g.edge_src = np.concatenate([g.edge_src, np.full(h, -1, dtype=np.intp)])
-    g.edge_hit = np.concatenate([np.full(g.edge_hit.shape[0], -1, dtype=np.intp),
-                                 np.arange(h, dtype=np.intp)])
-    g.edge_feat = np.concatenate([g.edge_feat, feat_h], axis=0)
-    g.edge_flag = (g.edge_src < 0).astype(np.float64)
-    return g
+    return world._assemble_graph(graph.model, next_states, graph.goals,
+                                 graph.hit_pos, graph.hit_owner, graph.R)
 
 
 def check_safe(barrier: BarrierParams, graph: GraphSnapshot,
@@ -122,9 +107,9 @@ def _ego_edges(graph: GraphSnapshot, X1_nom: np.ndarray, rows: np.ndarray,
     model = graph.model
     sd = model.space_dim
     k = rows.shape[0]
-    d = np.linalg.norm(X1_nom[None, :, :sd] - X1_rows[:, None, :sd], axis=2)
-    d[np.arange(k), rows] = np.inf
-    seg_a, src_a = np.nonzero(d <= graph.R)
+    seg_a, src_a, _ = pairs_within(X1_rows[:, :sd], X1_nom[:, :sd], graph.R)
+    other = src_a != rows[seg_a]
+    seg_a, src_a = seg_a[other], src_a[other]
     slot = np.full(graph.n_agents, -1, dtype=np.intp)
     slot[rows] = np.arange(k)
     hit_seg = slot[graph.hit_owner]

@@ -20,7 +20,7 @@ from .autodiff import Tensor, Tape
 from .nets import BarrierParams, PolicyParams
 from .world import (GraphSnapshot, Scenario, build_graph, label_all,
                     make_scenario_config, generate_scenario, step_world,
-                    adjacency_within, LABEL_SAFE, LABEL_UNSAFE)
+                    pairs_within, LABEL_SAFE, LABEL_UNSAFE)
 
 # per-model loss weights (derivative hinge, control deviation)
 _MODEL_WEIGHTS = {
@@ -189,14 +189,6 @@ def scenario_sampler(cfg: TrainConfig):
     return sample
 
 
-def _scan_all(model, states, obstacles, R):
-    if not obstacles:
-        return None
-    return [world.raycast(states[i, :model.space_dim], list(obstacles),
-                          world.N_RAYS_DEFAULT, R)
-            for i in range(states.shape[0])]
-
-
 @dataclass
 class RolloutState:
     """A resumable environment, so consecutive training segments continue
@@ -214,9 +206,10 @@ class RolloutState:
         cfgs = scenario.config
         states = scenario.states.copy()
         obstacles = tuple(scenario.obstacles)
-        graph = build_graph(model, states, scenario.goals,
-                            _scan_all(model, states, obstacles, cfgs.sensing_radius),
-                            cfgs.sensing_radius)
+        R = cfgs.sensing_radius
+        scans = world.scan_all(states[:, :model.space_dim], obstacles,
+                               world.N_RAYS_DEFAULT, R)
+        graph = build_graph(model, states, scenario.goals, scans, R)
         return RolloutState(scenario=scenario, states=states,
                             obstacles=obstacles, graph=graph)
 
@@ -250,8 +243,9 @@ def advance_rollout(model: dynamics.DynamicsModel, policy: PolicyParams | None,
         stepped = step_world(model, env.states, u_apply, env.obstacles, goals,
                              cfgs.dt, cfgs.r)
         env.states, env.obstacles = stepped.states, stepped.obstacles
-        next_graph = build_graph(model, env.states, goals,
-                                 _scan_all(model, env.states, env.obstacles, R), R)
+        scans = world.scan_all(env.states[:, :model.space_dim], env.obstacles,
+                               world.N_RAYS_DEFAULT, R)
+        next_graph = build_graph(model, env.states, goals, scans, R)
         samples.append(TrainSample(graph_k=env.graph, graph_k1=next_graph,
                                    labels=labels, u_applied=u_apply,
                                    u_nom=u_nom, dt=cfgs.dt))
@@ -343,27 +337,18 @@ def _assemble(samples: list[TrainSample]) -> _Batch:
 
 
 def _next_topology(batch: _Batch, pos1: np.ndarray, R: float):
-    """Agent-agent adjacency per sample block at the virtual next positions."""
-    sizes = {n for _, n in batch.blocks}
-    if len(sizes) == 1:
-        # uniform block size: one batched pairwise-distance pass
-        n = sizes.pop()
-        S = len(batch.blocks)
-        P = pos1.reshape(S, n, -1)
-        diff = P[:, :, None, :] - P[:, None, :, :]
-        d2 = np.einsum("sijk,sijk->sij", diff, diff)
-        mask = d2 <= R * R
-        mask[:, np.arange(n), np.arange(n)] = False
-        blk, dst, src = np.nonzero(mask)
-        return (blk * n + dst).astype(np.intp), (blk * n + src).astype(np.intp)
+    """Agent-agent adjacency per sample block at the virtual next positions.
+
+    One neighbor search per block: a single search over all T rows would
+    hold a (T, T, d) difference tensor."""
     dsts, srcs = [], []
     for off, n in batch.blocks:
-        dst, src = adjacency_within(pos1[off:off + n], R)
-        dsts.append(dst + off)
-        srcs.append(src + off)
-    dst = np.concatenate(dsts) if dsts else np.zeros(0, dtype=np.intp)
-    src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.intp)
-    return dst, src
+        p = pos1[off:off + n]
+        dst, src, _ = pairs_within(p, p, R)
+        keep = dst != src
+        dsts.append(dst[keep] + off)
+        srcs.append(src[keep] + off)
+    return np.concatenate(dsts), np.concatenate(srcs)
 
 
 def loss(barrier: BarrierParams, policy: PolicyParams,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics
-from .dynamics import DynamicsModel, AgentState
+from .dynamics import DynamicsModel
 
 N_RAYS_DEFAULT = 32
 
@@ -58,14 +58,15 @@ class Obstacle:
     def moved(self, dt: float) -> "Obstacle":
         return replace(self, center=self.center + dt * self.velocity)
 
-    def distance(self, point: np.ndarray) -> float:
-        """Distance from a point to the obstacle region (0 inside)."""
-        point = np.asarray(point, dtype=np.float64)
+    def distance(self, points: np.ndarray) -> float | np.ndarray:
+        """Distance from a point (d,) or from each of points (P, d) to the
+        obstacle region (0 inside): a float, or a (P,) array."""
+        points = np.asarray(points, dtype=np.float64)
         if self.shape == "circle":
-            return max(0.0, float(np.linalg.norm(point - self.center)) - self.size[0])
-        half = self.size / 2.0
-        outside = np.maximum(np.abs(point - self.center) - half, 0.0)
-        return float(np.linalg.norm(outside))
+            d = np.linalg.norm(points - self.center, axis=-1) - self.size[0]
+            return np.maximum(d, 0.0)
+        outside = np.maximum(np.abs(points - self.center) - self.size / 2.0, 0.0)
+        return np.linalg.norm(outside, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,25 @@ def _ray_rect(origin: np.ndarray, dirs: np.ndarray, center: np.ndarray,
     return t
 
 
+def pairs_within(queries: np.ndarray, points: np.ndarray,
+                 R: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair (queries[qi], points[pj]) at distance <= R, sorted by
+    (qi, pj), with that distance.
+
+    This is the package's one neighbor search.  Self-pairs are kept when
+    queries and points overlap; callers mask them.  A point with a
+    non-finite coordinate is in no pair.  One dense (Q, P) pass.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    with np.errstate(invalid="ignore"):     # inf - inf: no pair
+        diff = queries[:, None, :] - points[None, :, :]
+        dist = np.einsum("qpk,qpk->qp", diff, diff)
+        np.sqrt(dist, out=dist)
+        qi, pj = np.nonzero(dist <= R)
+    return qi, pj, dist[qi, pj]
+
+
 def raycast(position: np.ndarray, obstacles: list[Obstacle], n_rays: int,
             R: float, space_dim: int | None = None) -> LidarScan:
     """Cast the ray fan; each ray reports the nearest surface within R."""
@@ -159,6 +179,15 @@ def raycast(position: np.ndarray, obstacles: list[Obstacle], n_rays: int,
     valid = best <= R
     t_hit = np.where(valid, best, 0.0)
     return LidarScan(rel=t_hit[:, None] * dirs, valid=valid)
+
+
+def scan_all(positions: np.ndarray, obstacles, n_rays: int,
+             R: float) -> list[LidarScan] | None:
+    """One LiDAR scan per agent position, or None in a world without
+    obstacles (no agent can see a hit)."""
+    if not obstacles:
+        return None
+    return [raycast(p, obstacles, n_rays, R) for p in positions]
 
 
 @dataclass
@@ -189,10 +218,6 @@ class GraphSnapshot:
     def n_edges(self) -> int:
         return self.edge_dst.shape[0]
 
-    def agent_nodes(self) -> list[AgentState]:
-        return [AgentState(x=self.states[i].copy(), goal=self.goals[i].copy(), id=i)
-                for i in range(self.n_agents)]
-
     def positions(self) -> np.ndarray:
         return self.states[:, :self.model.space_dim]
 
@@ -200,32 +225,12 @@ class GraphSnapshot:
         return np.nonzero(self.edge_dst == i)[0]
 
 
-def adjacency_within(positions: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
-    """Directed (dst, src) pairs with ||p_dst - p_src|| <= R, no self-pairs."""
-    n = positions.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    diff = positions[:, None, :] - positions[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    mask = d2 <= R * R
-    np.fill_diagonal(mask, False)
-    dst, src = np.nonzero(mask)
-    return dst.astype(np.intp), src.astype(np.intp)
-
-
 def build_graph(model: DynamicsModel, states: np.ndarray, goals: np.ndarray,
                 scans: list[LidarScan] | None, R: float) -> GraphSnapshot:
     """Assemble the sensing graph: symmetric agent-agent edges within R,
     plus one edge per valid LiDAR hit into its observing agent."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    goals = np.atleast_2d(np.asarray(goals, dtype=np.float64))
-    n = states.shape[0]
     sd = model.space_dim
-    emb = dynamics.state_embedding(model, states)
-
-    dst, src = adjacency_within(states[:, :sd], R)
-    feat_aa = emb[src] - emb[dst]
-
     hit_pos = np.zeros((0, sd))
     hit_owner = np.zeros(0, dtype=np.intp)
     if scans is not None:
@@ -238,19 +243,29 @@ def build_graph(model: DynamicsModel, states: np.ndarray, goals: np.ndarray,
         if pos_list:
             hit_pos = np.concatenate(pos_list, axis=0)
             hit_owner = np.concatenate(owner_list)
+    return _assemble_graph(model, states, goals, hit_pos, hit_owner, R)
 
+
+def _assemble_graph(model: DynamicsModel, states: np.ndarray, goals: np.ndarray,
+                    hit_pos: np.ndarray, hit_owner: np.ndarray,
+                    R: float) -> GraphSnapshot:
+    """Graph over agents at `states` and hit nodes at absolute positions
+    hit_pos observed by hit_owner: agent edges (by destination, then
+    source), then one edge per hit in hit order."""
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    goals = np.atleast_2d(np.asarray(goals, dtype=np.float64))
+    pos = states[:, :model.space_dim]
+    emb = dynamics.state_embedding(model, states)
+    dst, src, _ = pairs_within(pos, pos, R)
+    keep = dst != src
+    dst, src = dst[keep], src[keep]
     h = hit_pos.shape[0]
-    if h:
-        feat_h = dynamics.hit_embedding(model, hit_pos) - emb[hit_owner]
-        edge_dst = np.concatenate([dst, hit_owner])
-        edge_src = np.concatenate([src, np.full(h, -1, dtype=np.intp)])
-        edge_hit = np.concatenate([np.full(dst.shape[0], -1, dtype=np.intp),
-                                   np.arange(h, dtype=np.intp)])
-        edge_feat = np.concatenate([feat_aa, feat_h], axis=0)
-    else:
-        edge_dst, edge_src = dst, src
-        edge_hit = np.full(dst.shape[0], -1, dtype=np.intp)
-        edge_feat = feat_aa
+    feat_h = dynamics.hit_embedding(model, hit_pos) - emb[hit_owner]
+    edge_dst = np.concatenate([dst, hit_owner])
+    edge_src = np.concatenate([src, np.full(h, -1, dtype=np.intp)])
+    edge_hit = np.concatenate([np.full(dst.shape[0], -1, dtype=np.intp),
+                               np.arange(h, dtype=np.intp)])
+    edge_feat = np.concatenate([emb[src] - emb[dst], feat_h], axis=0)
     edge_flag = (edge_src < 0).astype(np.float64)
     return GraphSnapshot(model=model, states=states, goals=goals,
                          hit_pos=hit_pos, hit_owner=hit_owner,
@@ -262,42 +277,32 @@ LABEL_SAFE, LABEL_UNSAFE, LABEL_BUFFER = 0, 1, 2
 LABEL_NAMES = {LABEL_SAFE: "safe", LABEL_UNSAFE: "unsafe", LABEL_BUFFER: "buffer"}
 
 
-def min_agent_distance(graph: GraphSnapshot, i: int) -> float:
+def label_all(graph: GraphSnapshot, r: float) -> np.ndarray:
+    """Three-way label per agent from nearest-neighbor distances.
+
+    Unsafe below 2r to another agent (or a LiDAR return inside r); safe
+    above 4r on both counts; the band in between is a buffer excluded from
+    the classification losses.  An agent whose position is not finite has
+    left the simulation and is unsafe; it does not affect the others.
+    """
     pos = graph.positions()
-    if pos.shape[0] < 2:
-        return np.inf
-    d = np.linalg.norm(pos - pos[i], axis=1)
-    d[i] = np.inf
-    return float(d.min())
-
-
-def min_hit_range(graph: GraphSnapshot, i: int) -> float:
-    mask = graph.hit_owner == i
-    if not mask.any():
-        return np.inf
-    p = graph.positions()[i]
-    return float(np.linalg.norm(graph.hit_pos[mask] - p, axis=1).min())
+    n = graph.n_agents
+    da = np.full(n, np.inf)
+    qi, pj, dist = pairs_within(pos, pos, 4.0 * r)
+    other = qi != pj
+    np.minimum.at(da, qi[other], dist[other])
+    dh = np.full(n, np.inf)
+    hit_range = np.linalg.norm(graph.hit_pos - pos[graph.hit_owner], axis=1)
+    np.minimum.at(dh, graph.hit_owner, hit_range)
+    labels = np.full(n, LABEL_BUFFER, dtype=np.int8)
+    labels[(da > 4.0 * r) & (dh > 4.0 * r)] = LABEL_SAFE
+    labels[(da < 2.0 * r) | (dh < r) | ~np.isfinite(pos).all(axis=1)] = LABEL_UNSAFE
+    return labels
 
 
 def label_sample(graph: GraphSnapshot, i: int, r: float) -> int:
-    """Three-way label from nearest-neighbor distances.
-
-    Unsafe below 2r (or a LiDAR return inside r); safe above 4r on both
-    counts; the band in between is a buffer excluded from the
-    classification losses.
-    """
-    da = min_agent_distance(graph, i)
-    dh = min_hit_range(graph, i)
-    if da < 2.0 * r or dh < r:
-        return LABEL_UNSAFE
-    if da > 4.0 * r and dh > 4.0 * r:
-        return LABEL_SAFE
-    return LABEL_BUFFER
-
-
-def label_all(graph: GraphSnapshot, r: float) -> np.ndarray:
-    return np.array([label_sample(graph, i, r) for i in range(graph.n_agents)],
-                    dtype=np.int8)
+    """label_all's label of agent i."""
+    return int(label_all(graph, r)[i])
 
 
 @dataclass(frozen=True)
@@ -322,10 +327,6 @@ class Scenario:
     states: np.ndarray     # (N, state_dim) initial
     goals: np.ndarray      # (N, space_dim)
     obstacles: tuple[Obstacle, ...]
-
-    def agent_states(self) -> list[AgentState]:
-        return [AgentState(x=self.states[i].copy(), goal=self.goals[i].copy(), id=i)
-                for i in range(self.states.shape[0])]
 
 
 def density_side(n_agents: int, space_dim: int) -> float:
@@ -391,15 +392,18 @@ def make_scenario_config(model: str, n_agents: int, suite: str, seed: int,
 _MAX_REJECTIONS = 10_000
 
 
-def _sample_point(rng, existing: list[np.ndarray], side: float, sd: int,
+def _sample_point(rng, existing: np.ndarray, side: float, sd: int,
                   min_sep: float, obstacles, clearance: float,
                   anchor: np.ndarray | None = None, anchor_cap: float | None = None):
+    """A uniform point at least min_sep from every row of `existing` (the
+    points placed so far) and clearance from every obstacle."""
     for _ in range(_MAX_REJECTIONS):
         p = rng.uniform(0.0, side, size=sd)
         if anchor is not None and anchor_cap is not None:
             if np.linalg.norm(p - anchor) > anchor_cap:
                 continue
-        if existing and min(np.linalg.norm(p - q) for q in existing) < min_sep:
+        _, _, dist = pairs_within(p[None], existing, min_sep)
+        if (dist < min_sep).any():
             continue
         if obstacles and min(ob.distance(p) for ob in obstacles) < clearance:
             continue
@@ -419,22 +423,23 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     clearance = 4.0 * config.r
     obstacles = list(config.obstacles)
 
-    starts: list[np.ndarray] = []
-    for _ in range(config.n_agents):
-        starts.append(_sample_point(rng, starts, config.side_length, sd,
-                                    min_sep, obstacles, clearance))
-    goals: list[np.ndarray] = []
+    n = config.n_agents
+    starts = np.zeros((n, sd))
+    for i in range(n):
+        starts[i] = _sample_point(rng, starts[:i], config.side_length, sd,
+                                  min_sep, obstacles, clearance)
+    goals = np.zeros((n, sd))
     cap = TRAVEL_CAP if config.suite == "keep_distance" else None
-    for i in range(config.n_agents):
-        goals.append(_sample_point(rng, goals, config.side_length, sd,
-                                   min_sep, obstacles, clearance,
-                                   anchor=starts[i], anchor_cap=cap))
+    for i in range(n):
+        goals[i] = _sample_point(rng, goals[:i], config.side_length, sd,
+                                 min_sep, obstacles, clearance,
+                                 anchor=starts[i], anchor_cap=cap)
 
-    states = np.zeros((config.n_agents, m.state_dim))
-    states[:, :sd] = np.stack(starts)
+    states = np.zeros((n, m.state_dim))
+    states[:, :sd] = starts
     if config.model == "DubinsCar":
-        states[:, 2] = rng.uniform(-np.pi, np.pi, size=config.n_agents)
-    return Scenario(config=config, states=states, goals=np.stack(goals),
+        states[:, 2] = rng.uniform(-np.pi, np.pi, size=n)
+    return Scenario(config=config, states=states, goals=goals,
                     obstacles=tuple(obstacles))
 
 
@@ -452,17 +457,11 @@ def collision_flags(model: DynamicsModel, states: np.ndarray,
     surface is within r of its position.  An agent whose position is not
     finite has left the simulation and counts as collided."""
     pos = states[:, :model.space_dim]
-    n = pos.shape[0]
     flags = ~np.isfinite(pos).all(axis=1)
-    if n > 1:
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(d, np.inf)
-        flags |= (d <= 2.0 * r).any(axis=1)
+    qi, pj, _ = pairs_within(pos, pos, 2.0 * r)
+    flags[qi[qi != pj]] = True
     for ob in obstacles:
-        for i in range(n):
-            if not flags[i] and ob.distance(pos[i]) <= r:
-                flags[i] = True
+        flags |= ob.distance(pos) <= r
     return flags
 
 

@@ -255,6 +255,36 @@ def test_neighbor_gradient_reaches_policy():
     assert grad_pi > 0.0
 
 
+def test_loss_mixed_block_sizes_match_per_sample_graphs():
+    """Samples of 3 and 5 agents in one batch: the virtual-step topology of
+    each block is the agent adjacency build_graph gives that block alone."""
+    cfg = desk_cfg()
+    barrier, policy = nets.init(5, 0.125, 4, 2)
+    rng = np.random.default_rng(11)
+    samples = []
+    for n in (3, 5, 5, 3):
+        states = np.zeros((n, 4))
+        states[:, :2] = rng.uniform(0.0, 0.8, size=(n, 2))
+        states[:, 2:] = rng.uniform(-0.5, 0.5, size=(n, 2))
+        g = world.build_graph(CAR, states, rng.uniform(0, 1, size=(n, 2)), None, 0.5)
+        u_nom = dyn.nominal_control_batch(CAR, states, g.goals, 0.03)
+        samples.append(training.TrainSample(graph_k=g, graph_k1=g,
+                                            labels=world.label_all(g, 0.05),
+                                            u_applied=u_nom, u_nom=u_nom, dt=0.03))
+    batch = training._assemble(samples)
+    pos1 = rng.uniform(0.0, 0.8, size=(batch.X.shape[0], 2))
+    dst, src = training._next_topology(batch, pos1, 0.5)
+    expected = []
+    for off, n in batch.blocks:
+        g = world.build_graph(CAR, np.hstack([pos1[off:off + n], np.zeros((n, 2))]),
+                              np.zeros((n, 2)), None, 0.5)
+        expected += [(int(i) + off, int(j) + off) for i, j in zip(g.edge_dst, g.edge_src)]
+    assert list(zip(dst.tolist(), src.tolist())) == expected
+    assert len(expected) > 0
+    total, _ = loss(barrier, policy, samples, CAR, cfg)
+    assert np.isfinite(total.item())
+
+
 def test_train_zero_steps_keeps_parameters():
     cfg = desk_cfg(steps=0)
     res = training.train(cfg)

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +85,49 @@ def test_raycast_3d_directions_even():
     assert scan.valid.any()
 
 
+# --- neighbor search ---------------------------------------------------------
+
+def _pairs_brute(queries, points, R):
+    out = []
+    for i, a in enumerate(queries.tolist()):
+        for j, b in enumerate(points.tolist()):
+            d = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+            if d <= R:
+                out.append((i, j, d))
+    return out
+
+
+@st.composite
+def _point_sets(draw):
+    """Queries, points and R on a half-integer grid, where every distance
+    is computed exactly, so pairs at exactly R are common (e.g. 2.5 for a
+    (1.5, 2) offset)."""
+    d = draw(st.sampled_from([2, 3]))
+    coord = st.integers(-8, 8).map(lambda k: k / 2.0)
+    rows = st.lists(st.lists(coord, min_size=d, max_size=d), max_size=7)
+    q = np.array(draw(rows), dtype=float).reshape(-1, d)
+    p = np.array(draw(rows), dtype=float).reshape(-1, d)
+    return q, p, draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, 5.0]))
+
+
+@given(_point_sets())
+@settings(max_examples=200, deadline=None)
+def test_pairs_within_matches_brute_force(case):
+    q, p, R = case
+    qi, pj, dist = world.pairs_within(q, p, R)
+    assert list(zip(qi.tolist(), pj.tolist(), dist.tolist())) == _pairs_brute(q, p, R)
+    assert qi.dtype == pj.dtype == np.intp
+
+
+def test_pairs_within_keeps_self_pairs_and_boundary():
+    pts = np.array([[0.0, 0.0], [3.0, 4.0], [np.nan, 0.0]])
+    qi, pj, dist = world.pairs_within(pts, pts, 5.0)
+    assert list(zip(qi.tolist(), pj.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert dist.tolist() == [0.0, 5.0, 5.0, 0.0]
+    qi, pj, dist = world.pairs_within(np.zeros((0, 3)), np.zeros((4, 3)), 1.0)
+    assert qi.shape == pj.shape == dist.shape == (0,)
+
+
 # --- graph -----------------------------------------------------------------
 
 def test_two_agents_within_radius_two_edges():
@@ -133,6 +179,41 @@ def test_label_thresholds():
     assert label_at(0.08) == LABEL_UNSAFE    # 0.08 < 2r = 0.1
     assert label_at(0.5) == LABEL_SAFE       # 0.5 > 4r = 0.2
     assert label_at(0.15) == LABEL_BUFFER
+
+
+def _label_reference(graph, i, r):
+    """The per-agent loop label_all replaced: nearest agent and nearest own
+    LiDAR hit of agent i."""
+    pos = graph.positions()
+    d = np.linalg.norm(pos - pos[i], axis=1)
+    d[i] = np.inf
+    da = d.min() if pos.shape[0] > 1 else np.inf
+    mask = graph.hit_owner == i
+    dh = np.linalg.norm(graph.hit_pos[mask] - pos[i], axis=1).min() if mask.any() else np.inf
+    if da < 2.0 * r or dh < r:
+        return LABEL_UNSAFE
+    if da > 4.0 * r and dh > 4.0 * r:
+        return LABEL_SAFE
+    return LABEL_BUFFER
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_label_all_matches_per_agent_reference(seed):
+    rng = np.random.default_rng(seed)
+    obstacles = [Obstacle.circle(rng.uniform(0, 0.8, 2), 0.05),
+                 Obstacle.rect(rng.uniform(0, 0.8, 2), [0.1, 0.2])]
+    states = car_states(rng.uniform(0, 0.8, size=(14, 2)))
+    scans = [raycast(p, obstacles, 32, 1.0) for p in states[:, :2]]
+    g = build_graph(CAR, states, np.zeros((14, 2)), scans, 1.0)
+    labels = label_all(g, 0.05)
+    assert labels.tolist() == [_label_reference(g, i, 0.05) for i in range(14)]
+    assert len(set(labels.tolist())) > 1
+
+
+def test_label_all_nonfinite_agent_is_unsafe_and_leaves_others():
+    g = build_graph(CAR, car_states([[0, 0], [np.nan, 0], [0.3, 0]]),
+                    np.zeros((3, 2)), None, 1.0)
+    assert label_all(g, 0.05).tolist() == [LABEL_SAFE, LABEL_UNSAFE, LABEL_SAFE]
 
 
 def test_label_obstacle_unsafe():
@@ -210,6 +291,22 @@ def test_obstacle_suite_samples_within_bounds():
         assert min(ob.distance(p) for ob in cfg.obstacles) >= 4 * cfg.r
 
 
+# sha256 of states and goals bytes, recorded before the sampler's
+# separation test moved onto pairs_within: the draw order and the strict
+# acceptance test must not change
+@pytest.mark.parametrize("model,n,suite,seed,n_obs,digest", [
+    ("SimpleCar", 16, "keep_density", 0, 0, "ea960515d440e333"),
+    ("DubinsCar", 24, "keep_distance", 3, 0, "85962e93fdb70be3"),
+    ("SimpleDrone", 32, "increase_density", 5, 0, "fd9109dcb2d9f495"),
+    ("SimpleCar", 40, "obstacles", 7, 6, "bcf289bf0894471e"),
+])
+def test_generate_scenario_pinned_digest(model, n, suite, seed, n_obs, digest):
+    s = generate_scenario(make_scenario_config(model, n, suite, seed,
+                                               n_obstacles=n_obs))
+    h = hashlib.sha256(s.states.tobytes() + s.goals.tobytes()).hexdigest()
+    assert h[:16] == digest
+
+
 def test_packing_infeasible_raises():
     cfg = make_scenario_config("SimpleCar", 200, "keep_density", seed=0,
                                side_length=0.5)
@@ -230,6 +327,15 @@ def test_collision_flags_nonfinite_agent_counts_as_collided():
                        [5, np.inf, 0, 0], [9, 9, np.nan, 0]], dtype=float)
     flags = world.collision_flags(CAR, states, (), 0.05)
     assert flags.tolist() == [True, True, True, True, False]
+
+
+def test_obstacle_distance_batched_matches_pointwise():
+    rng = np.random.default_rng(4)
+    for ob in (Obstacle.circle([0.2, 0.1], 0.3), Obstacle.rect([0, 0], [0.4, 0.2]),
+               Obstacle.circle([0, 0, 0], 0.2), Obstacle.rect([0, 0, 0], [0.2, 0.3, 0.4])):
+        pts = rng.uniform(-1, 1, size=(50, ob.center.shape[0]))
+        assert np.array_equal(ob.distance(pts), [ob.distance(p) for p in pts])
+        assert ob.distance(ob.center) == 0.0
 
 
 def test_obstacle_translation():
