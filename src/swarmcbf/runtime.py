@@ -2,15 +2,15 @@
 switching, and online refinement of violating controls.
 
 The derivative of the certificate is estimated the same way the trainer
-estimates it: a virtual Euler step, a rebuilt graph at the stepped
-positions (LiDAR hit nodes stay frozen at their world positions), and a
-finite difference across the two evaluations.  Each agent's check assumes
-its neighbors apply their own nominal control for the virtual step.
+estimates it: a virtual Euler step, in-edges rebuilt at the stepped
+positions by world.in_edges (LiDAR hit nodes stay frozen at their world
+positions), and a finite difference across the two evaluations.  Each
+agent's check assumes its neighbors apply their own nominal control.
 
-Refinement is batched.  Once the nominal check has flagged agents, each
-later stage runs once for all of them on one batch of ego graphs (segment k
-holds agent k's virtual in-edges): the learned-control check, every
-descent iteration, and the final re-check.  Because neighbors hold their
+Refinement is batched.  The detector checks all agents on one batch of
+in-edges; each later stage runs once for all flagged agents: the
+learned-control check, every descent iteration (on InEdges.subset of those
+still violating), and the final re-check.  Because neighbors hold their
 nominal controls, an agent's residue depends on its own control alone, so
 one backward pass of the summed residues gives every agent its own
 gradient.  The descent tape reads the certificate through a frozen view
@@ -27,7 +27,7 @@ from . import autodiff as ad
 from . import dynamics, nets, world
 from .autodiff import Tensor, Tape
 from .nets import BarrierParams, PolicyParams
-from .world import GraphSnapshot, pairs_within
+from .world import GraphSnapshot, InEdges
 
 
 @dataclass
@@ -45,112 +45,57 @@ class ControlDecision:
     hdot_value: float
 
 
-def virtual_graph(graph: GraphSnapshot, next_states: np.ndarray) -> GraphSnapshot:
-    """Graph after a virtual step: topology rebuilt from the stepped
-    positions, hit nodes kept frozen in the world frame."""
-    return world._assemble_graph(graph.model, next_states, graph.goals,
-                                 graph.hit_pos, graph.hit_owner, graph.R)
-
-
 def check_safe(barrier: BarrierParams, graph: GraphSnapshot,
                candidates: np.ndarray, u_nom: np.ndarray, dt: float,
                alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Detector: hdot + alpha * h >= 0 per agent, candidate control for the
     agent itself, nominal controls for everyone else.
 
-    Returns (ok, h, hdot).  When candidates equal the nominals this costs a
-    single virtual world; otherwise one batch of per-agent ego graphs.
+    Returns (ok, h, hdot).  One batch of virtual in-edges serves every
+    agent; with nominal candidates it is the graph of the nominal step.
     """
-    model = graph.model
     h_now, _ = nets.barrier_values(barrier, graph)
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     u_nom = np.atleast_2d(np.asarray(u_nom, dtype=np.float64))
-    X1_nom = dynamics.step_batch(model, graph.states, u_nom, dt)
-
-    if np.array_equal(candidates, u_nom):
-        g1 = virtual_graph(graph, X1_nom)
-        h1, _ = nets.barrier_values(barrier, g1)
-    else:
-        h1, _ = _virtual_h(barrier, graph, X1_nom,
-                           np.arange(graph.n_agents), candidates, dt)
+    X1_nom = dynamics.step_batch(graph.model, graph.states, u_nom, dt)
+    h1, _ = _virtual_h(barrier, graph, X1_nom, np.arange(graph.n_agents),
+                       candidates, dt)
     hdot = (h1 - h_now) / dt
     ok = hdot + alpha * h_now >= 0.0
     return ok, h_now, hdot
 
 
-@dataclass
-class _EgoEdges:
-    """Virtual in-edges of a batch of agents, one segment per agent.
-
-    Segment k holds the in-edges of agent rows[k]: the agents within R of
-    its stepped position, at their nominal next states and in index order,
-    then its own frozen LiDAR hits.  src holds the source embeddings.
-    """
-    rows: np.ndarray    # (k,) agent indices
-    seg: np.ndarray     # (E,) segment per edge, nondecreasing
-    src: np.ndarray     # (E, edge_dim)
-    flag: np.ndarray    # (E,) 0 agent source, 1 hit
-
-    def subset(self, keep: np.ndarray) -> "_EgoEdges":
-        """The segments of rows[keep] (increasing local indices), renumbered."""
-        new_id = np.full(self.rows.shape[0], -1, dtype=np.intp)
-        new_id[keep] = np.arange(keep.shape[0])
-        seg = new_id[self.seg]
-        e = seg >= 0
-        return _EgoEdges(self.rows[keep], seg[e], self.src[e], self.flag[e])
-
-
-def _ego_edges(graph: GraphSnapshot, X1_nom: np.ndarray, rows: np.ndarray,
-               X1_rows: np.ndarray) -> _EgoEdges:
-    """In-edges of each agent rows[k] in the virtual world where it stands
-    at X1_rows[k] and every other agent at its nominal next state."""
+def _ego_h(barrier: BarrierParams, graph: GraphSnapshot, X1_nom: np.ndarray,
+           edges: InEdges, emb) -> Tensor:
+    """Certificate values, shape (k, 1), of the agents edges.rows embedded
+    at emb (an array, or a tensor when differentiating), with every other
+    agent at its nominal next state and the hits frozen."""
     model = graph.model
-    sd = model.space_dim
-    k = rows.shape[0]
-    seg_a, src_a, _ = pairs_within(X1_rows[:, :sd], X1_nom[:, :sd], graph.R)
-    other = src_a != rows[seg_a]
-    seg_a, src_a = seg_a[other], src_a[other]
-    slot = np.full(graph.n_agents, -1, dtype=np.intp)
-    slot[rows] = np.arange(k)
-    hit_seg = slot[graph.hit_owner]
-    hits = np.nonzero(hit_seg >= 0)[0]
-    seg = np.concatenate([seg_a, hit_seg[hits]])
-    src = np.concatenate([dynamics.state_embedding(model, X1_nom[src_a]),
-                          dynamics.hit_embedding(model, graph.hit_pos[hits])])
-    flag = np.concatenate([np.zeros(src_a.shape[0]), np.ones(hits.shape[0])])
-    order = np.argsort(seg, kind="stable")   # agents before hits per segment
-    return _EgoEdges(rows, seg[order], src[order], flag[order])
-
-
-def _ego_h(barrier: BarrierParams, edges: _EgoEdges, emb) -> Tensor:
-    """Certificate values, shape (k, 1), of the batch's agents embedded at
-    emb (an array, or a tensor when differentiating)."""
-    feat = ad.sub(edges.src, ad.gather(emb, edges.seg))
-    h, _ = nets.barrier_forward_edges(barrier, feat, edges.flag, edges.seg,
+    feat = world.edge_features(edges, emb, dynamics.state_embedding(model, X1_nom),
+                               dynamics.hit_embedding(model, graph.hit_pos))
+    h, _ = nets.barrier_forward_edges(barrier, feat, edges.flag, edges.dst,
                                       edges.rows.shape[0])
     return h
 
 
 def _virtual_h(barrier: BarrierParams, graph: GraphSnapshot,
                X1_nom: np.ndarray, rows: np.ndarray, U: np.ndarray,
-               dt: float) -> tuple[np.ndarray, _EgoEdges]:
+               dt: float) -> tuple[np.ndarray, InEdges]:
     """h of each agent rows[k] after a virtual step where it applies U[k]
-    and everyone else the nominal (plain numpy); also returns the in-edges."""
+    and everyone else the nominal (plain numpy); also returns the in-edges,
+    LiDAR hits frozen in the world frame."""
     model = graph.model
+    sd = model.space_dim
     X1 = dynamics.step_batch(model, graph.states[rows], U, dt)
-    edges = _ego_edges(graph, X1_nom, rows, X1)
-    h = _ego_h(barrier, edges, dynamics.state_embedding(model, X1))
+    edges = world.in_edges(X1[:, :sd], rows, X1_nom[:, :sd], graph.hit_owner,
+                           graph.R)
+    h = _ego_h(barrier, graph, X1_nom, edges, dynamics.state_embedding(model, X1))
     return h.data[:, 0], edges
 
 
-def residue(gamma: float, hdot: float, alpha: float, h: float) -> float:
-    """Violation margin delta = max(0, gamma - hdot - alpha h)."""
-    return max(0.0, gamma - hdot - alpha * h)
-
-
 def _make_residue_rows(barrier: BarrierParams, graph: GraphSnapshot,
-                       edges: _EgoEdges, h: np.ndarray, dt: float,
-                       alpha: float, gamma: float):
+                       X1_nom: np.ndarray, edges: InEdges, h: np.ndarray,
+                       dt: float, alpha: float, gamma: float):
     """Batched residue: maps (active, U), U holding controls for the agents
     edges.rows[active], to their residues and each one's own gradient.
 
@@ -170,7 +115,8 @@ def _make_residue_rows(barrier: BarrierParams, graph: GraphSnapshot,
         u = Tensor(U, requires_grad=True)
         with Tape() as tape:
             x1 = dynamics.virtual_step_tensor(model, graph.states[sub.rows], u, dt)
-            h1 = _ego_h(barrier, sub, dynamics.state_embedding_tensor(model, x1))
+            h1 = _ego_h(barrier, graph, X1_nom, sub,
+                        dynamics.state_embedding_tensor(model, x1))
             hdot = ad.mul(ad.sub(h1, h_a), 1.0 / dt)
             delta = ad.relu(ad.sub(gamma - alpha * h_a, hdot))
             vals = delta.data[:, 0].copy()
@@ -196,8 +142,8 @@ def _make_residue_fn(barrier: BarrierParams, graph: GraphSnapshot,
         nonlocal fn
         u = np.asarray(u_val, dtype=np.float64)[None, :]
         if fn is None:
-            x1 = dynamics.step_batch(graph.model, graph.states[rows], u, dt)
-            fn = _make_residue_rows(barrier, graph, _ego_edges(graph, X1_nom, rows, x1),
+            _, edges = _virtual_h(barrier, graph, X1_nom, rows, u, dt)
+            fn = _make_residue_rows(barrier, graph, X1_nom, edges,
                                     np.array([h_i]), dt, alpha, gamma)
         vals, grads = fn(only, u)
         return float(vals[0]), grads[0]
@@ -296,7 +242,7 @@ def select_control(barrier: BarrierParams, policy: PolicyParams,
         if rows.size:
             U = u_nn[rows]
             if use_refine:
-                fn = _make_residue_rows(barrier, graph, edges.subset(failed),
+                fn = _make_residue_rows(barrier, graph, X1_nom, edges.subset(failed),
                                         h_now[rows], dt, alpha, config.gamma)
                 U, _, _ = _descend_rows(fn, U, config, model.control_bound)
             h1, _ = _virtual_h(barrier, graph, X1_nom, rows, U, dt)

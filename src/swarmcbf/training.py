@@ -18,9 +18,9 @@ from . import autodiff as ad
 from . import dynamics, nets, world
 from .autodiff import Tensor, Tape
 from .nets import BarrierParams, PolicyParams
-from .world import (GraphSnapshot, Scenario, build_graph, label_all,
+from .world import (GraphSnapshot, InEdges, Scenario, build_graph, label_all,
                     make_scenario_config, generate_scenario, step_world,
-                    pairs_within, LABEL_SAFE, LABEL_UNSAFE)
+                    LABEL_SAFE, LABEL_UNSAFE)
 
 # per-model loss weights (derivative hinge, control deviation)
 _MODEL_WEIGHTS = {
@@ -260,15 +260,8 @@ def collect_rollout(model: dynamics.DynamicsModel, policy: PolicyParams | None,
                     scenario: Scenario, length: int, eps: float,
                     rng: np.random.Generator) -> list[TrainSample]:
     """Roll the mixed policy out for `length` steps from the scenario start."""
-    env = RolloutState.start(model, scenario)
-    env_horizon = scenario.config.horizon
-    samples: list[TrainSample] = []
-    while len(samples) < length and not env.finished:
-        samples += advance_rollout(model, policy, env,
-                                   length - len(samples), eps, rng)
-        if env.steps_done >= env_horizon:
-            break
-    return samples
+    return advance_rollout(model, policy, RolloutState.start(model, scenario),
+                           length, eps, rng)
 
 
 def barrier_h_fn(params: BarrierParams):
@@ -283,10 +276,6 @@ def hdot_estimate(h_fn, graph_a: GraphSnapshot, graph_b: GraphSnapshot,
     return (h_fn(graph_b) - h_fn(graph_a)) / dt
 
 
-def hdot_sample(h_fn, sample: TrainSample) -> np.ndarray:
-    return hdot_estimate(h_fn, sample.graph_k, sample.graph_k1, sample.dt)
-
-
 # --- batched loss ---------------------------------------------------------
 
 @dataclass
@@ -298,7 +287,6 @@ class _Batch:
     flag_k: np.ndarray
     seg_k: np.ndarray       # destination rows
     hit_emb: np.ndarray     # (H, d) frozen hit-node embeddings
-    hit_owner: np.ndarray   # (H,) global rows
     blocks: list[tuple[int, int]]   # (row offset, n_agents) per sample
     dt: float
 
@@ -307,7 +295,7 @@ def _assemble(samples: list[TrainSample]) -> _Batch:
     model = samples[0].graph_k.model
     offset = 0
     X, unom, labels, feats, flags, segs = [], [], [], [], [], []
-    hit_embs, hit_owners = [], []
+    hit_embs = []
     blocks = []
     for s in samples:
         g = s.graph_k
@@ -320,7 +308,6 @@ def _assemble(samples: list[TrainSample]) -> _Batch:
         segs.append(g.edge_dst + offset)
         if g.hit_pos.shape[0]:
             hit_embs.append(dynamics.hit_embedding(model, g.hit_pos))
-            hit_owners.append(g.hit_owner + offset)
         blocks.append((offset, n))
         offset += n
     d = dynamics.edge_feature_dim(model)
@@ -332,23 +319,25 @@ def _assemble(samples: list[TrainSample]) -> _Batch:
         flag_k=np.concatenate(flags) if flags else np.zeros(0),
         seg_k=np.concatenate(segs).astype(np.intp) if segs else np.zeros(0, dtype=np.intp),
         hit_emb=np.concatenate(hit_embs, axis=0) if hit_embs else np.zeros((0, d)),
-        hit_owner=np.concatenate(hit_owners).astype(np.intp) if hit_owners else np.zeros(0, dtype=np.intp),
         blocks=blocks, dt=samples[0].dt)
 
 
-def _next_topology(batch: _Batch, pos1: np.ndarray, R: float):
-    """Agent-agent adjacency per sample block at the virtual next positions.
-
-    One neighbor search per block: a single search over all T rows would
-    hold a (T, T, d) difference tensor."""
-    dsts, srcs = [], []
-    for off, n in batch.blocks:
+def _virtual_edges(samples: list[TrainSample], blocks: list[tuple[int, int]],
+                   pos1: np.ndarray, R: float) -> InEdges:
+    """In-edges of every batch row at the virtual next positions pos1, hits
+    frozen: one in_edges call per sample block, then every block's agent
+    edges ahead of every block's hit edges, in batch numbering."""
+    parts, n_hits = [], 0
+    for s, (off, n) in zip(samples, blocks):
         p = pos1[off:off + n]
-        dst, src, _ = pairs_within(p, p, R)
-        keep = dst != src
-        dsts.append(dst[keep] + off)
-        srcs.append(src[keep] + off)
-    return np.concatenate(dsts), np.concatenate(srcs)
+        e = world.in_edges(p, np.arange(n), p, s.graph_k.hit_owner, R)
+        agent = e.src >= 0
+        parts.append((e.dst + off, np.where(agent, e.src + off, -1),
+                      np.where(agent, -1, e.hit + n_hits)))
+        n_hits += s.graph_k.hit_pos.shape[0]
+    dst, src, hit = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(src < 0, kind="stable")
+    return InEdges(np.arange(pos1.shape[0]), dst[order], src[order], hit[order])
 
 
 def loss(barrier: BarrierParams, policy: PolicyParams,
@@ -376,15 +365,10 @@ def loss(barrier: BarrierParams, policy: PolicyParams,
                                         batch.seg_k, T)
 
     X1 = dynamics.virtual_step_tensor(model, batch.X, U, dt)
-    pos1 = X1.data[:, :model.space_dim]
-    dst, src = _next_topology(batch, pos1, R)
+    edges = _virtual_edges(samples, batch.blocks, X1.data[:, :model.space_dim], R)
     emb1 = dynamics.state_embedding_tensor(model, X1)
-    e_aa = ad.sub(ad.gather(emb1, src), ad.gather(emb1, dst))
-    e_hit = ad.sub(batch.hit_emb, ad.gather(emb1, batch.hit_owner))
-    feat_1 = ad.concat([e_aa, e_hit], axis=0)
-    flag_1 = np.concatenate([np.zeros(dst.shape[0]), np.ones(batch.hit_owner.shape[0])])
-    seg_1 = np.concatenate([dst, batch.hit_owner])
-    h_k1, _ = nets.barrier_forward_edges(barrier, feat_1, flag_1, seg_1, T)
+    feat_1 = world.edge_features(edges, emb1, emb1, batch.hit_emb)
+    h_k1, _ = nets.barrier_forward_edges(barrier, feat_1, edges.flag, edges.dst, T)
 
     hdot = ad.mul(ad.sub(h_k1, h_k), 1.0 / dt)
 
@@ -543,7 +527,7 @@ def derivative_violation_fraction(barrier: BarrierParams,
     total, bad = 0, 0
     for s in samples:
         h = h_fn(s.graph_k)
-        hd = hdot_sample(h_fn, s)
+        hd = (h_fn(s.graph_k1) - h) / s.dt
         mask = s.labels != LABEL_UNSAFE if cfg.deriv_hinge_on_buffer \
             else s.labels == LABEL_SAFE
         raw = cfg.gamma - hd - cfg.alpha * h

@@ -3,10 +3,12 @@ labeling, scenario generation, and world stepping."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import autodiff as ad
 from . import dynamics
 from .dynamics import DynamicsModel
 
@@ -225,52 +227,90 @@ class GraphSnapshot:
         return np.nonzero(self.edge_dst == i)[0]
 
 
+@dataclass(frozen=True)
+class InEdges:
+    """In-edges of the agents rows[k], destination slot k.
+
+    Agent edges come first, sorted by (slot, source), then one edge per
+    LiDAR hit owned by one of those agents, in hit order.  src is the
+    source agent, or -1 for a hit; hit is the hit index, or -1 for an agent.
+    """
+    rows: np.ndarray    # (k,) agent per destination slot
+    dst: np.ndarray     # (E,) destination slot
+    src: np.ndarray     # (E,)
+    hit: np.ndarray     # (E,)
+
+    @property
+    def flag(self) -> np.ndarray:
+        """Node type per edge: 0 for an agent source, 1 for a hit."""
+        return (self.src < 0).astype(np.float64)
+
+    def subset(self, keep: np.ndarray) -> "InEdges":
+        """The in-edges of rows[keep] (increasing slots), renumbered: what
+        in_edges gives for those rows alone."""
+        slot = np.full(self.rows.shape[0], -1, dtype=np.intp)
+        slot[keep] = np.arange(keep.shape[0])
+        dst = slot[self.dst]
+        e = dst >= 0
+        return InEdges(self.rows[keep], dst[e], self.src[e], self.hit[e])
+
+
+def in_edges(dst_pos: np.ndarray, rows: np.ndarray, src_pos: np.ndarray,
+             hit_owner: np.ndarray, R: float) -> InEdges:
+    """In-edges of the agents rows[k] standing at dst_pos[k]: every agent
+    j != rows[k] with src_pos[j] within R of dst_pos[k], then every hit h
+    with hit_owner[h] == rows[k].
+
+    This is the package's one neighbourhood builder: the sensing graph,
+    the detector's and refinement's virtual steps and the training loss's
+    virtual step all take their edges from it.
+    """
+    dst, src, _ = pairs_within(dst_pos, src_pos, R)
+    keep = src != rows[dst]
+    dst, src = dst[keep], src[keep]
+    slot = np.full(src_pos.shape[0], -1, dtype=np.intp)
+    slot[rows] = np.arange(rows.shape[0])
+    hits = np.nonzero(slot[hit_owner] >= 0)[0]
+    return InEdges(rows, np.concatenate([dst, slot[hit_owner[hits]]]),
+                   np.concatenate([src, np.full(hits.shape[0], -1, dtype=np.intp)]),
+                   np.concatenate([np.full(dst.shape[0], -1, dtype=np.intp), hits]))
+
+
+def edge_features(edges: InEdges, emb_dst, emb_src, hit_emb):
+    """Per-edge feature: the source's embedding minus its destination's.
+
+    emb_dst has one row per destination slot, emb_src one per source
+    agent and hit_emb one per hit.  Arrays, or autodiff tensors when
+    differentiating; the result is a tensor either way.
+    """
+    n_a = int((edges.src >= 0).sum())
+    e_aa = ad.sub(ad.gather(emb_src, edges.src[:n_a]),
+                  ad.gather(emb_dst, edges.dst[:n_a]))
+    e_hit = ad.sub(ad.gather(hit_emb, edges.hit[n_a:]),
+                   ad.gather(emb_dst, edges.dst[n_a:]))
+    return ad.concat([e_aa, e_hit], axis=0)
+
+
 def build_graph(model: DynamicsModel, states: np.ndarray, goals: np.ndarray,
                 scans: list[LidarScan] | None, R: float) -> GraphSnapshot:
     """Assemble the sensing graph: symmetric agent-agent edges within R,
     plus one edge per valid LiDAR hit into its observing agent."""
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    sd = model.space_dim
-    hit_pos = np.zeros((0, sd))
-    hit_owner = np.zeros(0, dtype=np.intp)
-    if scans is not None:
-        pos_list, owner_list = [], []
-        for i, scan in enumerate(scans):
-            if scan is None or not scan.valid.any():
-                continue
-            pos_list.append(states[i, :sd] + scan.rel[scan.valid])
-            owner_list.append(np.full(int(scan.valid.sum()), i, dtype=np.intp))
-        if pos_list:
-            hit_pos = np.concatenate(pos_list, axis=0)
-            hit_owner = np.concatenate(owner_list)
-    return _assemble_graph(model, states, goals, hit_pos, hit_owner, R)
-
-
-def _assemble_graph(model: DynamicsModel, states: np.ndarray, goals: np.ndarray,
-                    hit_pos: np.ndarray, hit_owner: np.ndarray,
-                    R: float) -> GraphSnapshot:
-    """Graph over agents at `states` and hit nodes at absolute positions
-    hit_pos observed by hit_owner: agent edges (by destination, then
-    source), then one edge per hit in hit order."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     goals = np.atleast_2d(np.asarray(goals, dtype=np.float64))
-    pos = states[:, :model.space_dim]
+    sd = model.space_dim
+    seen = [(i, s.rel[s.valid]) for i, s in enumerate(scans or ()) if s is not None]
+    hit_pos = np.concatenate([np.zeros((0, sd))]
+                             + [states[i, :sd] + rel for i, rel in seen])
+    hit_owner = np.concatenate([np.zeros(0, dtype=np.intp)]
+                               + [np.full(len(rel), i, dtype=np.intp) for i, rel in seen])
+    pos = states[:, :sd]
     emb = dynamics.state_embedding(model, states)
-    dst, src, _ = pairs_within(pos, pos, R)
-    keep = dst != src
-    dst, src = dst[keep], src[keep]
-    h = hit_pos.shape[0]
-    feat_h = dynamics.hit_embedding(model, hit_pos) - emb[hit_owner]
-    edge_dst = np.concatenate([dst, hit_owner])
-    edge_src = np.concatenate([src, np.full(h, -1, dtype=np.intp)])
-    edge_hit = np.concatenate([np.full(dst.shape[0], -1, dtype=np.intp),
-                               np.arange(h, dtype=np.intp)])
-    edge_feat = np.concatenate([emb[src] - emb[dst], feat_h], axis=0)
-    edge_flag = (edge_src < 0).astype(np.float64)
+    edges = in_edges(pos, np.arange(states.shape[0]), pos, hit_owner, R)
+    feat = edge_features(edges, emb, emb, dynamics.hit_embedding(model, hit_pos))
     return GraphSnapshot(model=model, states=states, goals=goals,
                          hit_pos=hit_pos, hit_owner=hit_owner,
-                         edge_dst=edge_dst, edge_src=edge_src, edge_hit=edge_hit,
-                         edge_feat=edge_feat, edge_flag=edge_flag, R=float(R))
+                         edge_dst=edges.dst, edge_src=edges.src, edge_hit=edges.hit,
+                         edge_feat=feat.data, edge_flag=edges.flag, R=float(R))
 
 
 LABEL_SAFE, LABEL_UNSAFE, LABEL_BUFFER = 0, 1, 2
@@ -392,11 +432,37 @@ def make_scenario_config(model: str, n_agents: int, suite: str, seed: int,
 _MAX_REJECTIONS = 10_000
 
 
+def obstacle_distance(obstacles) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched distance to the nearest of `obstacles`: a function mapping
+    points (P, d) to (P,) distances, each bitwise the minimum of
+    Obstacle.distance over the obstacles (inf when there are none)."""
+    circles = [ob for ob in obstacles if ob.shape == "circle"]
+    rects = [ob for ob in obstacles if ob.shape != "circle"]
+    c_center = np.array([ob.center for ob in circles])
+    c_radius = np.array([ob.size[0] for ob in circles])
+    r_center = np.array([ob.center for ob in rects])
+    r_half = np.array([ob.size / 2.0 for ob in rects])
+
+    def distance(points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=np.float64)[:, None, :]
+        best = np.full(points.shape[0], np.inf)
+        if circles:
+            d = np.linalg.norm(points - c_center, axis=-1) - c_radius
+            best = np.minimum(best, np.maximum(d, 0.0).min(axis=1))
+        if rects:
+            outside = np.maximum(np.abs(points - r_center) - r_half, 0.0)
+            best = np.minimum(best, np.linalg.norm(outside, axis=-1).min(axis=1))
+        return best
+
+    return distance
+
+
 def _sample_point(rng, existing: np.ndarray, side: float, sd: int,
-                  min_sep: float, obstacles, clearance: float,
+                  min_sep: float, obstacle_dist, clearance: float,
                   anchor: np.ndarray | None = None, anchor_cap: float | None = None):
     """A uniform point at least min_sep from every row of `existing` (the
-    points placed so far) and clearance from every obstacle."""
+    points placed so far) and clearance from every obstacle (obstacle_dist
+    is obstacle_distance of them)."""
     for _ in range(_MAX_REJECTIONS):
         p = rng.uniform(0.0, side, size=sd)
         if anchor is not None and anchor_cap is not None:
@@ -405,7 +471,7 @@ def _sample_point(rng, existing: np.ndarray, side: float, sd: int,
         _, _, dist = pairs_within(p[None], existing, min_sep)
         if (dist < min_sep).any():
             continue
-        if obstacles and min(ob.distance(p) for ob in obstacles) < clearance:
+        if obstacle_dist(p[None])[0] < clearance:
             continue
         return p
     raise ScenarioGenerationError(
@@ -421,18 +487,19 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     rng = np.random.default_rng(config.seed)
     min_sep = 4.0 * config.r
     clearance = 4.0 * config.r
-    obstacles = list(config.obstacles)
+    obstacles = tuple(config.obstacles)
+    obstacle_dist = obstacle_distance(obstacles)
 
     n = config.n_agents
     starts = np.zeros((n, sd))
     for i in range(n):
         starts[i] = _sample_point(rng, starts[:i], config.side_length, sd,
-                                  min_sep, obstacles, clearance)
+                                  min_sep, obstacle_dist, clearance)
     goals = np.zeros((n, sd))
     cap = TRAVEL_CAP if config.suite == "keep_distance" else None
     for i in range(n):
         goals[i] = _sample_point(rng, goals[:i], config.side_length, sd,
-                                 min_sep, obstacles, clearance,
+                                 min_sep, obstacle_dist, clearance,
                                  anchor=starts[i], anchor_cap=cap)
 
     states = np.zeros((n, m.state_dim))
@@ -440,7 +507,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     if config.model == "DubinsCar":
         states[:, 2] = rng.uniform(-np.pi, np.pi, size=n)
     return Scenario(config=config, states=states, goals=goals,
-                    obstacles=tuple(obstacles))
+                    obstacles=obstacles)
 
 
 @dataclass
@@ -460,8 +527,7 @@ def collision_flags(model: DynamicsModel, states: np.ndarray,
     flags = ~np.isfinite(pos).all(axis=1)
     qi, pj, _ = pairs_within(pos, pos, 2.0 * r)
     flags[qi[qi != pj]] = True
-    for ob in obstacles:
-        flags |= ob.distance(pos) <= r
+    flags |= obstacle_distance(obstacles)(pos) <= r
     return flags
 
 

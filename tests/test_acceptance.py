@@ -249,6 +249,7 @@ def desk_training():
             "viol_before": viol_before, "wall": wall}
 
 
+@pytest.mark.slow
 def test_criterion_5_training_smoke(capsys, desk_training):
     cfg, res = desk_training["cfg"], desk_training["res"]
     hist = res.history
@@ -266,6 +267,7 @@ def test_criterion_5_training_smoke(capsys, desk_training):
                    f"{desk_training['wall']:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_certificate_classification(capsys, desk_training):
     h_vals, labels = training.classification_data(
         desk_training["res"].barrier, desk_training["held"])
@@ -298,6 +300,7 @@ def _crossing_scenario(seed, n=8, radius=1.5):
     return world.Scenario(config=cfg, states=states, goals=goals, obstacles=())
 
 
+@pytest.mark.slow
 def test_criterion_7_closed_loop_improvement(capsys, desk_training):
     res = desk_training["res"]
     spec_learned = ControllerSpec(kind="learned", barrier=res.barrier,

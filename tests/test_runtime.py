@@ -380,12 +380,12 @@ def test_batched_check_safe_matches_per_agent_reference():
     b, _ = fresh(seed=3)
     g = _crowd(CAR, rng, 10, 2.5, (world.Obstacle.circle([1.2, 1.2], 0.4),))
     u_nom = dyn.nominal_control_batch(CAR, g.states, g.goals)
-    cand = u_nom + rng.normal(size=u_nom.shape)
-    _, h, hdot = runtime.check_safe(b, g, cand, u_nom, 0.03, 1.0)
     X1_nom = dyn.step_batch(CAR, g.states, u_nom, 0.03)
-    want = [(_ref_h_virtual(b, g, X1_nom, i, cand[i], 0.03) - h[i]) / 0.03
-            for i in range(g.n_agents)]
-    np.testing.assert_allclose(hdot, want, rtol=0, atol=1e-9)
+    for cand in (u_nom + rng.normal(size=u_nom.shape), u_nom):
+        _, h, hdot = runtime.check_safe(b, g, cand, u_nom, 0.03, 1.0)
+        want = [(_ref_h_virtual(b, g, X1_nom, i, cand[i], 0.03) - h[i]) / 0.03
+                for i in range(g.n_agents)]
+        np.testing.assert_allclose(hdot, want, rtol=0, atol=1e-9)
 
 
 def test_inference_leaves_no_parameter_gradients():

@@ -273,7 +273,8 @@ def test_loss_mixed_block_sizes_match_per_sample_graphs():
                                             u_applied=u_nom, u_nom=u_nom, dt=0.03))
     batch = training._assemble(samples)
     pos1 = rng.uniform(0.0, 0.8, size=(batch.X.shape[0], 2))
-    dst, src = training._next_topology(batch, pos1, 0.5)
+    edges = training._virtual_edges(samples, batch.blocks, pos1, 0.5)
+    dst, src = edges.dst[edges.src >= 0], edges.src[edges.src >= 0]
     expected = []
     for off, n in batch.blocks:
         g = world.build_graph(CAR, np.hstack([pos1[off:off + n], np.zeros((n, 2))]),

@@ -168,6 +168,51 @@ def test_edge_features_match_dynamics():
                            dyn.edge_feature(CAR, states[i], states[j]))
 
 
+
+def _lidar_crowd(rng, n=12, side=2.5):
+    states = car_states(rng.uniform(0, side, size=(n, 2)))
+    obstacles = [Obstacle.circle([1.2, 1.2], 0.4), Obstacle.rect([0.4, 2.0], [0.5, 0.3])]
+    scans = [raycast(p, obstacles, 16, 1.0) for p in states[:, :2]]
+    return build_graph(CAR, states, np.zeros((n, 2)), scans, 1.0)
+
+
+def test_in_edges_all_rows_reproduces_build_graph():
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        g = _lidar_crowd(rng)
+        pos = g.positions()
+        e = world.in_edges(pos, np.arange(g.n_agents), pos, g.hit_owner, g.R)
+        assert g.hit_pos.shape[0] > 0
+        for got, want in ((e.dst, g.edge_dst), (e.src, g.edge_src),
+                          (e.hit, g.edge_hit), (e.flag, g.edge_flag)):
+            assert np.array_equal(got, want)
+        # documented order: agent edges by (dst, src), then hits in hit order
+        d = np.linalg.norm(pos[:, None] - pos[None], axis=-1)
+        pairs = [(i, j) for i in range(g.n_agents) for j in range(g.n_agents)
+                 if i != j and d[i, j] <= g.R]
+        n_a = len(pairs)
+        assert list(zip(e.dst[:n_a].tolist(), e.src[:n_a].tolist())) == pairs
+        assert np.array_equal(e.dst[n_a:], g.hit_owner)
+        assert np.array_equal(e.hit[n_a:], np.arange(g.hit_pos.shape[0]))
+
+
+def test_in_edges_subset_equals_fresh_in_edges():
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        g = _lidar_crowd(rng)
+        n = g.n_agents
+        rows = np.sort(rng.choice(n, size=8, replace=False))
+        src_pos = g.positions() + rng.normal(scale=0.05, size=(n, 2))
+        dst_pos = src_pos[rows] + rng.normal(scale=0.05, size=(8, 2))
+        e = world.in_edges(dst_pos, rows, src_pos, g.hit_owner, g.R)
+        keep = np.sort(rng.choice(8, size=5, replace=False))
+        sub = e.subset(keep)
+        fresh = world.in_edges(dst_pos[keep], rows[keep], src_pos, g.hit_owner, g.R)
+        for f in ("rows", "dst", "src", "hit"):
+            assert np.array_equal(getattr(sub, f), getattr(fresh, f))
+        assert (sub.src != sub.rows[sub.dst]).all()
+        assert (g.hit_owner[sub.hit[sub.hit >= 0]] == sub.rows[sub.dst[sub.hit >= 0]]).all()
+
 # --- labels ----------------------------------------------------------------
 
 def test_label_thresholds():
@@ -292,13 +337,15 @@ def test_obstacle_suite_samples_within_bounds():
 
 
 # sha256 of states and goals bytes, recorded before the sampler's
-# separation test moved onto pairs_within: the draw order and the strict
-# acceptance test must not change
+# separation test moved onto pairs_within (the many-obstacle row: before its
+# clearance test moved onto obstacle_distance): the draw order and the
+# strict acceptance tests must not change
 @pytest.mark.parametrize("model,n,suite,seed,n_obs,digest", [
     ("SimpleCar", 16, "keep_density", 0, 0, "ea960515d440e333"),
     ("DubinsCar", 24, "keep_distance", 3, 0, "85962e93fdb70be3"),
     ("SimpleDrone", 32, "increase_density", 5, 0, "fd9109dcb2d9f495"),
     ("SimpleCar", 40, "obstacles", 7, 6, "bcf289bf0894471e"),
+    ("SimpleCar", 128, "obstacles", 3, 96, "192b05b12180f7b3"),
 ])
 def test_generate_scenario_pinned_digest(model, n, suite, seed, n_obs, digest):
     s = generate_scenario(make_scenario_config(model, n, suite, seed,
@@ -336,6 +383,22 @@ def test_obstacle_distance_batched_matches_pointwise():
         pts = rng.uniform(-1, 1, size=(50, ob.center.shape[0]))
         assert np.array_equal(ob.distance(pts), [ob.distance(p) for p in pts])
         assert ob.distance(ob.center) == 0.0
+
+
+@pytest.mark.parametrize("sd", [2, 3])
+def test_obstacle_distance_is_min_of_pointwise(sd):
+    rng = np.random.default_rng(sd)
+    obstacles = [Obstacle.circle(rng.uniform(0, 3, sd), rng.uniform(0, 0.5)) if k % 3
+                 else Obstacle.rect(rng.uniform(0, 3, sd), rng.uniform(0, 0.5, sd))
+                 for k in range(20)]
+    pts = rng.uniform(0, 3, size=(200, sd))
+    pts[0] = obstacles[0].center
+    pts[1, 0] = np.nan
+    got = world.obstacle_distance(obstacles)(pts)
+    want = [min(ob.distance(p) for ob in obstacles) for p in pts]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got[0] == 0.0
+    assert (world.obstacle_distance(())(pts) == np.inf).all()
 
 
 def test_obstacle_translation():
