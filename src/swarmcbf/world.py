@@ -73,17 +73,18 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class LidarScan:
-    """Fixed ray fan around one agent; rel holds hit offsets, valid flags
-    which rays actually struck something within range."""
-    rel: np.ndarray      # (n_rays, space_dim)
-    valid: np.ndarray    # (n_rays,) bool
+    """Fixed ray fan around one agent, or around each of P agents (a
+    leading P axis on both fields); rel holds hit offsets (zero on a
+    miss), valid flags which rays actually struck something within range."""
+    rel: np.ndarray      # (n_rays, space_dim) or (P, n_rays, space_dim)
+    valid: np.ndarray    # (n_rays,) or (P, n_rays) bool
 
     @property
     def n_rays(self) -> int:
-        return self.rel.shape[0]
+        return self.rel.shape[-2]
 
     def ranges(self) -> np.ndarray:
-        r = np.linalg.norm(self.rel, axis=1)
+        r = np.linalg.norm(self.rel, axis=-1)
         return np.where(self.valid, r, np.inf)
 
 
@@ -100,29 +101,30 @@ def ray_directions(space_dim: int, n_rays: int) -> np.ndarray:
     return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
 
 
-def _ray_circle(origin: np.ndarray, dirs: np.ndarray, center: np.ndarray,
-                radius: float) -> np.ndarray:
-    """First nonnegative hit parameter per ray (inf if none)."""
-    f = origin - center
-    b = dirs @ f                      # dirs are unit, so a == 1
-    c = f @ f - radius * radius
+def _ray_circles(origin: np.ndarray, dirs: np.ndarray, center: np.ndarray,
+                 radius: np.ndarray) -> np.ndarray:
+    """First nonnegative hit parameter of each ray from origin[k] against
+    the circle (center[k], radius[k]): (K, n_rays), inf if none."""
+    f = (origin - center)[:, :, None]
+    # stacked matmuls give one agent's dirs @ f and f @ f bit for bit;
+    # einsum or a broadcast sum round differently
+    b = np.matmul(dirs, f)[:, :, 0]          # dirs are unit, so a == 1
+    c = np.matmul(f.transpose(0, 2, 1), f)[:, :, 0] - (radius * radius)[:, None]
     disc = b * b - c
-    t = np.full(dirs.shape[0], np.inf)
-    ok = disc >= 0.0
     sq = np.sqrt(np.maximum(disc, 0.0))
     t1 = -b - sq
     t2 = -b + sq
     first = np.where(t1 >= 0.0, t1, np.where(t2 >= 0.0, t2, np.inf))
-    t[ok] = first[ok]
-    return t
+    return np.where(disc >= 0.0, first, np.inf)
 
 
-def _ray_rect(origin: np.ndarray, dirs: np.ndarray, center: np.ndarray,
-              half: np.ndarray) -> np.ndarray:
-    """Slab test against an axis-aligned box; first nonnegative boundary hit."""
-    n_rays, d = dirs.shape
-    lo = center - half
-    hi = center + half
+def _ray_rects(origin: np.ndarray, dirs: np.ndarray, center: np.ndarray,
+               half: np.ndarray) -> np.ndarray:
+    """Slab test of each ray from origin[k] against the axis-aligned box
+    (center[k], half[k]); first nonnegative boundary hit, (K, n_rays)."""
+    lo = (center - half)[:, None, :]
+    hi = (center + half)[:, None, :]
+    origin = origin[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         t_lo = (lo - origin) / dirs
         t_hi = (hi - origin) / dirs
@@ -135,12 +137,11 @@ def _ray_rect(origin: np.ndarray, dirs: np.ndarray, center: np.ndarray,
     t_far = np.where(par & inside, np.inf, t_far)
     t_near = np.where(par & ~inside, np.inf, t_near)
     t_far = np.where(par & ~inside, -np.inf, t_far)
-    enter = t_near.max(axis=1)
-    leave = t_far.min(axis=1)
+    enter = t_near.max(axis=-1)
+    leave = t_far.min(axis=-1)
     hit = enter <= leave
-    t = np.where(hit & (enter >= 0.0), enter,
-                 np.where(hit & (leave >= 0.0), leave, np.inf))
-    return t
+    return np.where(hit & (enter >= 0.0), enter,
+                    np.where(hit & (leave >= 0.0), leave, np.inf))
 
 
 def pairs_within(queries: np.ndarray, points: np.ndarray,
@@ -162,34 +163,55 @@ def pairs_within(queries: np.ndarray, points: np.ndarray,
     return qi, pj, dist[qi, pj]
 
 
-def raycast(position: np.ndarray, obstacles: list[Obstacle], n_rays: int,
-            R: float, space_dim: int | None = None) -> LidarScan:
-    """Cast the ray fan; each ray reports the nearest surface within R."""
+# Slack on the culling radius for rounding in the distances; an extra
+# (point, obstacle) pair leaves every ray's minimum unchanged.
+_CULL_PAD = 1e-6
+
+
+def raycast(positions: np.ndarray, obstacles, n_rays: int, R: float) -> LidarScan:
+    """Cast the ray fan from one point (d,) or from each of points (P, d);
+    each ray reports the nearest obstacle surface within R.
+
+    Only (point, obstacle) pairs whose centers lie within R plus the
+    obstacle's extent (radius, or half-diagonal of a box) are cast; no
+    other obstacle can hold a surface point within R.  A point with a
+    non-finite coordinate sees nothing.
+    """
     if R <= 0:
         raise ValueError("sensing radius must be positive")
-    position = np.asarray(position, dtype=np.float64)
-    if space_dim is None:
-        space_dim = position.shape[0]
-    dirs = ray_directions(space_dim, n_rays)
-    best = np.full(n_rays, np.inf)
-    for ob in obstacles:
-        if ob.shape == "circle":
-            t = _ray_circle(position, dirs, ob.center, float(ob.size[0]))
-        else:
-            t = _ray_rect(position, dirs, ob.center, ob.size / 2.0)
-        best = np.minimum(best, t)
+    positions = np.asarray(positions, dtype=np.float64)
+    points = np.atleast_2d(positions)
+    dirs = ray_directions(points.shape[1], n_rays)
+    best = np.full((points.shape[0], n_rays), np.inf)
+    if obstacles:
+        circle = np.array([ob.shape == "circle" for ob in obstacles])
+        center = np.array([ob.center for ob in obstacles])
+        radius = np.array([ob.size[0] if c else 0.0 for ob, c in zip(obstacles, circle)])
+        half = np.array([0.0 * ob.center if c else ob.size / 2.0
+                         for ob, c in zip(obstacles, circle)])
+        reach = R + np.where(circle, radius, np.linalg.norm(half, axis=1)) + _CULL_PAD
+        pi, oj, dist = pairs_within(points, center, float(reach.max()))
+        keep = dist <= reach[oj]
+        pi, oj = pi[keep], oj[keep]
+        c = circle[oj]
+        np.minimum.at(best, pi[c], _ray_circles(points[pi[c]], dirs, center[oj[c]],
+                                                radius[oj[c]]))
+        np.minimum.at(best, pi[~c], _ray_rects(points[pi[~c]], dirs, center[oj[~c]],
+                                               half[oj[~c]]))
     valid = best <= R
     t_hit = np.where(valid, best, 0.0)
-    return LidarScan(rel=t_hit[:, None] * dirs, valid=valid)
+    scan = LidarScan(rel=t_hit[:, :, None] * dirs, valid=valid)
+    return scan if positions.ndim == 2 else LidarScan(scan.rel[0], scan.valid[0])
 
 
 def scan_all(positions: np.ndarray, obstacles, n_rays: int,
              R: float) -> list[LidarScan] | None:
-    """One LiDAR scan per agent position, or None in a world without
-    obstacles (no agent can see a hit)."""
+    """One LiDAR scan per agent position, views into one batched raycast,
+    or None in a world without obstacles (no agent can see a hit)."""
     if not obstacles:
         return None
-    return [raycast(p, obstacles, n_rays, R) for p in positions]
+    scan = raycast(positions, obstacles, n_rays, R)
+    return [LidarScan(rel, valid) for rel, valid in zip(scan.rel, scan.valid)]
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +144,43 @@ def test_graph_free_controller_does_not_sense(monkeypatch):
     simulate_run(scn, ControllerSpec(kind="learned", barrier=b, policy=p,
                                      refine=evaluation.RefineConfig(max_iters=0)))
     assert calls, "the learned controller still senses its obstacles"
+
+
+def _learned_obstacle_run(monkeypatch, raycast_wrapper, horizon):
+    cfg = world.make_scenario_config("SimpleCar", 8, "obstacles", 2,
+                                     horizon=horizon, n_obstacles=4)
+    scn = world.generate_scenario(cfg)
+    model = dyn.make_model(cfg.model)
+    b, p = nets.init(0, 0.125, dyn.edge_feature_dim(model), model.control_dim)
+    monkeypatch.setattr(world, "raycast", raycast_wrapper(world.raycast))
+    return simulate_run(scn, ControllerSpec(kind="learned", barrier=b, policy=p))
+
+
+def test_learned_run_casts_once_per_step(monkeypatch):
+    """All agents' LiDAR comes from one batched raycast per step."""
+    calls = []
+
+    def counting(raycast):
+        return lambda *a, **k: calls.append(1) or raycast(*a, **k)
+
+    run = _learned_obstacle_run(monkeypatch, counting, horizon=12)
+    assert run.steps_used == 12
+    assert len(calls) == run.steps_used
+
+
+def test_learned_step_time_includes_sensing(monkeypatch):
+    """A learned step's reported time covers the LiDAR scan, not only the
+    controller call."""
+    delay = 0.05
+
+    def slowed(raycast):
+        def cast(*a, **k):
+            time.sleep(delay)
+            return raycast(*a, **k)
+        return cast
+
+    run = _learned_obstacle_run(monkeypatch, slowed, horizon=3)
+    assert run.mean_step_time_s >= delay
 
 
 def test_learned_controller_requires_params():

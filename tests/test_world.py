@@ -85,6 +85,157 @@ def test_raycast_3d_directions_even():
     assert scan.valid.any()
 
 
+# Reference: the per-agent, per-obstacle raycast the batched one replaced.
+
+def _ref_ray_circle(origin, dirs, center, radius):
+    f = origin - center
+    b = dirs @ f
+    c = f @ f - radius * radius
+    disc = b * b - c
+    t = np.full(dirs.shape[0], np.inf)
+    ok = disc >= 0.0
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t1 = -b - sq
+    t2 = -b + sq
+    first = np.where(t1 >= 0.0, t1, np.where(t2 >= 0.0, t2, np.inf))
+    t[ok] = first[ok]
+    return t
+
+
+def _ref_ray_rect(origin, dirs, center, half):
+    lo = center - half
+    hi = center + half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (lo - origin) / dirs
+        t_hi = (hi - origin) / dirs
+    t_near = np.where(np.isnan(t_lo), -np.inf, np.minimum(t_lo, t_hi))
+    t_far = np.where(np.isnan(t_hi), np.inf, np.maximum(t_lo, t_hi))
+    inside = (origin >= lo) & (origin <= hi)
+    par = dirs == 0.0
+    t_near = np.where(par & inside, -np.inf, t_near)
+    t_far = np.where(par & inside, np.inf, t_far)
+    t_near = np.where(par & ~inside, np.inf, t_near)
+    t_far = np.where(par & ~inside, -np.inf, t_far)
+    enter = t_near.max(axis=1)
+    leave = t_far.min(axis=1)
+    hit = enter <= leave
+    return np.where(hit & (enter >= 0.0), enter,
+                    np.where(hit & (leave >= 0.0), leave, np.inf))
+
+
+def _ref_raycast(points, obstacles, n_rays, R):
+    """(rel, valid) stacked over points, one point and obstacle at a time.
+
+    A point with a non-finite coordinate sees nothing.  The loop alone
+    gave that only when every coordinate was NaN: with one NaN, its slab
+    test ignored that axis and reported hits on boxes.
+    """
+    sd = points.shape[1]
+    dirs = world.ray_directions(sd, n_rays)
+    rel, valid = np.zeros((0, n_rays, sd)), np.zeros((0, n_rays), dtype=bool)
+    for position in points:
+        best = np.full(n_rays, np.inf)
+        for ob in obstacles if np.isfinite(position).all() else ():
+            if ob.shape == "circle":
+                t = _ref_ray_circle(position, dirs, ob.center, float(ob.size[0]))
+            else:
+                t = _ref_ray_rect(position, dirs, ob.center, ob.size / 2.0)
+            best = np.minimum(best, t)
+        ok = best <= R
+        t_hit = np.where(ok, best, 0.0)
+        rel = np.concatenate([rel, (t_hit[:, None] * dirs)[None]])
+        valid = np.concatenate([valid, ok[None]])
+    return rel, valid
+
+
+def _assert_bitwise(scan, rel, valid):
+    assert scan.rel.dtype == rel.dtype and scan.rel.shape == rel.shape
+    assert scan.valid.dtype == valid.dtype and scan.valid.shape == valid.shape
+    assert np.array_equal(scan.rel, rel) and np.array_equal(scan.valid, valid)
+
+
+@st.composite
+def _lidar_worlds(draw):
+    """Mixed circles and boxes, and agents placed where the batched cast
+    could go wrong: inside an obstacle, about R + extent from its center
+    (the culling boundary), on a box edge along ray 0 (+x, where the slab
+    test divides by zero), or at a NaN position."""
+    d = draw(st.sampled_from([2, 3]))
+    n_rays = draw(st.sampled_from([1, 4, 8, 32]))
+    R = draw(st.sampled_from([0.3, 1.0, 2.0]))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    vec = st.lists(coord, min_size=d, max_size=d).map(np.array)
+    size = st.floats(0.0, 0.6, allow_nan=False)
+    obstacle = st.one_of(
+        st.builds(Obstacle.circle, vec, size),
+        st.builds(Obstacle.rect, vec, st.lists(size, min_size=d, max_size=d)))
+    obstacles = draw(st.lists(obstacle, max_size=6))
+    points = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["free", "inside", "boundary", "edge", "nan"]), max_size=6)):
+        p = draw(vec)
+        if kind == "nan":
+            p[draw(st.integers(0, d - 1))] = np.nan
+        elif kind != "free" and obstacles:
+            ob = draw(st.sampled_from(obstacles))
+            half = ob.size[0] if ob.shape == "circle" else ob.size / 2.0
+            if kind == "inside":
+                p = ob.center + draw(st.floats(-1.0, 1.0)) * half / math.sqrt(d)
+            elif kind == "boundary":
+                extent = float(np.linalg.norm(np.atleast_1d(half)))
+                u = p / max(np.linalg.norm(p), 1e-9)
+                jitter = draw(st.sampled_from([-1e-9, 0.0, 1e-9]))
+                p = ob.center + (R + extent + jitter) * u
+            else:
+                edge = ob.center + draw(st.sampled_from([-1.0, 1.0])) * half
+                p[1:] = edge[1:]
+        points.append(p)
+    return np.array(points, dtype=float).reshape(-1, d), obstacles, n_rays, R
+
+
+@given(_lidar_worlds())
+@settings(max_examples=300, deadline=None)
+def test_batched_raycast_bitwise_equals_per_agent_reference(case):
+    points, obstacles, n_rays, R = case
+    rel, valid = _ref_raycast(points, obstacles, n_rays, R)
+    _assert_bitwise(raycast(points, obstacles, n_rays, R), rel, valid)
+    for i, p in enumerate(points):
+        _assert_bitwise(raycast(p, obstacles, n_rays, R), rel[i], valid[i])
+    scans = world.scan_all(points, obstacles, n_rays, R)
+    if not obstacles:
+        assert scans is None
+    else:
+        for i, s in enumerate(scans):
+            _assert_bitwise(s, rel[i], valid[i])
+
+
+def test_raycast_nan_agent_sees_nothing():
+    obstacles = [Obstacle.circle([0.3, 0.0], 0.1), Obstacle.rect([0.0, 0.3], [0.2, 0.2])]
+    scan = raycast([[np.nan, 0.0], [0.0, np.nan], [0.0, 0.0]], obstacles, 32, 1.0)
+    assert not scan.valid[:2].any() and not scan.rel[:2].any()
+    assert scan.valid[2].any()
+    empty = raycast(np.zeros((0, 2)), obstacles, 32, 1.0)
+    assert empty.rel.shape == (0, 32, 2) and empty.valid.shape == (0, 32)
+
+
+@pytest.mark.parametrize("model,n,n_obs,seed", [("SimpleCar", 64, 16, 0),
+                                                ("SimpleCar", 256, 64, 1),
+                                                ("SimpleDrone", 128, 32, 2)])
+def test_scan_all_matches_reference_on_obstacle_suites(model, n, n_obs, seed):
+    cfg = make_scenario_config(model, n, "obstacles", seed, n_obstacles=n_obs)
+    scn = generate_scenario(cfg)
+    sd = scn.goals.shape[1]
+    # the agents' starts, plus points near every obstacle so rays hit
+    near = np.array([ob.center for ob in scn.obstacles])
+    near += np.random.default_rng(seed).normal(scale=0.2, size=near.shape)
+    points = np.concatenate([scn.states[:, :sd], near])
+    rel, valid = _ref_raycast(points, scn.obstacles, 32, cfg.sensing_radius)
+    assert valid.sum() > 100
+    scans = world.scan_all(points, scn.obstacles, 32, cfg.sensing_radius)
+    for i, s in enumerate(scans):
+        _assert_bitwise(s, rel[i], valid[i])
+
+
 # --- neighbor search ---------------------------------------------------------
 
 def _pairs_brute(queries, points, R):
