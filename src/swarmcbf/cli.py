@@ -59,25 +59,46 @@ def scenario_from_dict(d: dict) -> world.ScenarioConfig:
         raise ConfigError(f"scenario.model: expected one of {dynamics.KINDS}")
     if d["suite"] not in world.SUITES:
         raise ConfigError(f"scenario.suite: expected one of {world.SUITES}")
-    obstacles = []
-    for k, ob in enumerate(d["obstacles"]):
-        unknown = set(ob) - _OBSTACLE_KEYS
-        if unknown:
-            raise ConfigError(f"scenario.obstacles[{k}]: unknown keys {sorted(unknown)}")
-        if ob.get("shape") == "circle":
-            obstacles.append(world.Obstacle.circle(ob["center"], ob["radius"],
-                                                   ob.get("velocity")))
-        elif ob.get("shape") == "rect":
-            obstacles.append(world.Obstacle.rect(ob["center"], ob["size"],
-                                                 ob.get("velocity")))
-        else:
-            raise ConfigError(f"scenario.obstacles[{k}].shape: expected circle or rect")
+    sd = dynamics.make_model(d["model"]).space_dim
+    obstacles = tuple(_obstacle_from_dict(ob, f"scenario.obstacles[{k}]", sd)
+                      for k, ob in enumerate(d["obstacles"]))
     return world.ScenarioConfig(
         model=d["model"], n_agents=int(d["n_agents"]),
         side_length=float(d["side_length"]), r=float(d["r"]),
         sensing_radius=float(d["sensing_radius"]), dt=float(d["dt"]),
         horizon=int(d["horizon"]), seed=int(d["seed"]), suite=d["suite"],
-        obstacles=tuple(obstacles))
+        obstacles=obstacles)
+
+
+def _obstacle_from_dict(ob: dict, where: str, sd: int) -> world.Obstacle:
+    unknown = set(ob) - _OBSTACLE_KEYS
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    shape = ob.get("shape")
+    if shape not in ("circle", "rect"):
+        raise ConfigError(f"{where}.shape: expected circle or rect")
+    extent = "radius" if shape == "circle" else "size"
+    for key in ("center", extent):
+        if key not in ob:
+            raise ConfigError(f"{where}.{key}: missing")
+
+    def vector(key):
+        try:
+            v = np.asarray(ob[key], dtype=np.float64)
+        except (TypeError, ValueError):
+            v = None
+        if v is None or v.shape != (sd,):
+            raise ConfigError(f"{where}.{key}: expected a list of {sd} numbers")
+        return v
+
+    velocity = None if ob.get("velocity") is None else vector("velocity")
+    if shape == "rect":
+        return world.Obstacle.rect(vector("center"), vector("size"), velocity)
+    try:
+        radius = float(ob["radius"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.radius: expected a number")
+    return world.Obstacle.circle(vector("center"), radius, velocity)
 
 
 def load_scenario(path) -> world.ScenarioConfig:

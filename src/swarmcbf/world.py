@@ -2,6 +2,7 @@
 labeling, scenario generation, and world stepping."""
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -151,16 +152,87 @@ def pairs_within(queries: np.ndarray, points: np.ndarray,
 
     This is the package's one neighbor search.  Self-pairs are kept when
     queries and points overlap; callers mask them.  A point with a
-    non-finite coordinate is in no pair.  One dense (Q, P) pass.
+    non-finite coordinate is in no pair (for finite R).  Small inputs take
+    one dense (Q, P) pass; large ones a cell list, whose output is bitwise
+    the same.
     """
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
+    if (queries.shape[0] * points.shape[0] <= _DENSE_MAX_PAIRS
+            or not _MIN_CELL <= R < np.inf):
+        return _pairs_dense(queries, points, R)
+    return _pairs_cells(queries, points, R)
+
+
+# Inputs of at most this many (query, point) pairs take the dense pass.
+# Measured on a 2-vCPU box (best of 200 calls, keep_density geometry):
+# square inputs cross over near Q = P = 64 (~0.1 ms either way; 256 x 256
+# takes 1.3-1.8 ms dense, 0.2 ms binned), but binning costs ~0.15 us per
+# point, which one query never repays (Q = 1, P = 2**16: 1.0 ms dense,
+# 10.4 ms binned).  2**16 keeps the scenario sampler's one-query calls
+# dense up to 65536 placed points, and training's 8-agent blocks and the
+# 64-agent graphs dense too.
+_DENSE_MAX_PAIRS = 2 ** 16
+# Below this R the squared differences the dense pass sums can underflow to
+# 0, and it pairs points farther apart than R: no grid of side R finds them.
+_MIN_CELL = 2.0 ** -500
+# Cells are a hair wider than R.  The dense pass's rounded distance can
+# read R for points slightly farther apart (-1e-20 and 0.5 at R = 0.5,
+# whose cells of side R are -1 and 1), and x / side rounds too; with
+# |x / side| <= 2**30 both errors stay far below the margin, so points the
+# dense pass pairs never lie more than one cell apart on an axis.
+_CELL_MARGIN = 1.0 + 2.0 ** -20
+
+
+def _pairs_dense(queries, points, R):
+    """pairs_within as one (Q, P) pass."""
     with np.errstate(invalid="ignore"):     # inf - inf: no pair
         diff = queries[:, None, :] - points[None, :, :]
         dist = np.einsum("qpk,qpk->qp", diff, diff)
         np.sqrt(dist, out=dist)
         qi, pj = np.nonzero(dist <= R)
     return qi, pj, dist[qi, pj]
+
+
+def _pairs_cells(queries, points, R):
+    """pairs_within through a cell list, for finite R >= _MIN_CELL: the
+    finite points are sorted by the key of their grid cell (side ~R), and
+    each finite query takes as candidates the points of its 3**d
+    neighbouring cells, found with searchsorted.  Candidate distances use
+    the dense pass's arithmetic, so the output is bitwise its output."""
+    d = points.shape[1]
+    side = R * _CELL_MARGIN
+    # cell indices clip to [-cap, cap] (far points share the outer cells,
+    # which stays correct); shifted to [1, 2 cap + 1], so a neighbour index
+    # never wraps into another row, and the keys fit in int64
+    cap = 2 ** min(30, 60 // d - 1)
+    weight = (2 * cap + 3) ** np.arange(d, dtype=np.int64)
+
+    def cell_key(x):
+        with np.errstate(over="ignore"):
+            c = np.clip(np.floor(x / side), -cap, cap)
+        return (c.astype(np.int64) + (cap + 1)) @ weight
+
+    pidx = np.nonzero(np.isfinite(points).all(axis=1))[0]
+    pkey = cell_key(points[pidx])
+    order = np.argsort(pkey)
+    pidx, pkey = pidx[order], pkey[order]
+    qidx = np.nonzero(np.isfinite(queries).all(axis=1))[0]
+    # the three neighbours along axis 0 have consecutive keys: one run
+    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=d - 1)),
+                      dtype=np.int64).reshape(-1, d - 1) @ weight[1:]
+    centre = cell_key(queries[qidx])[:, None] + shifts
+    start = np.searchsorted(pkey, centre - 1, side="left").ravel()
+    count = np.searchsorted(pkey, centre + 1, side="right").ravel() - start
+    qi = np.repeat(np.repeat(qidx, shifts.shape[0]), count)
+    run_at = np.cumsum(count) - count
+    pj = pidx[np.arange(qi.shape[0]) + np.repeat(start - run_at, count)]
+    diff = queries[qi] - points[pj]
+    dist = np.sqrt(np.einsum("ek,ek->e", diff, diff))
+    keep = dist <= R
+    qi, pj, dist = qi[keep], pj[keep], dist[keep]
+    order = np.lexsort((pj, qi))
+    return qi[order], pj[order], dist[order]
 
 
 # Slack on the culling radius for rounding in the distances; an extra

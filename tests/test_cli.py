@@ -47,6 +47,37 @@ def test_missing_scenario_key_rejected(tmp_path):
         cli.load_scenario(path)
 
 
+@pytest.mark.parametrize("model,obstacle,field", [
+    ("SimpleCar", {"shape": "circle", "radius": 0.2}, "center"),
+    ("SimpleCar", {"shape": "circle", "center": [1.0, 1.0]}, "radius"),
+    ("SimpleCar", {"shape": "circle", "center": [1.0, 1.0], "radius": [0.2, 0.1]}, "radius"),
+    ("SimpleCar", {"shape": "rect", "center": [1.0, 1.0]}, "size"),
+    ("SimpleCar", {"shape": "circle", "center": [1.0, 1.0, 1.0], "radius": 0.2}, "center"),
+    ("SimpleCar", {"shape": "circle", "center": [1.0, 1.0], "radius": 0.2,
+                   "velocity": [0.1]}, "velocity"),
+    ("SimpleCar", {"shape": "rect", "center": [1.0, 1.0], "size": [0.2, 0.2, 0.2]}, "size"),
+    ("SimpleCar", {"shape": "rect", "center": 1.0, "size": [0.2, 0.2]}, "center"),
+    ("SimpleDrone", {"shape": "rect", "center": [1.0, 1.0], "size": [0.2, 0.2, 0.2]}, "center"),
+])
+def test_bad_obstacle_rejected_with_field(tmp_path, model, obstacle, field):
+    path = write_json(tmp_path / "s.json",
+                      scenario_dict(model=model, obstacles=[obstacle]))
+    with pytest.raises(ConfigError, match=rf"scenario\.obstacles\[0\]\.{field}"):
+        cli.load_scenario(path)
+
+
+@pytest.mark.parametrize("obstacle", [
+    {"shape": "circle", "radius": 0.2},
+    {"shape": "circle", "center": [1.0, 1.0, 1.0], "radius": 0.2},
+])
+def test_simulate_bad_obstacle_exits_2(tmp_path, capsys, obstacle):
+    scn_path = write_json(tmp_path / "s.json", scenario_dict(obstacles=[obstacle]))
+    rc = main(["simulate", "--scenario", scn_path, "--out",
+               str(tmp_path / "o.jsonl"), "--nominal-only"])
+    assert rc == 2
+    assert "scenario.obstacles[0].center" in capsys.readouterr().err
+
+
 def test_scenario_roundtrip(tmp_path):
     cfg = world.make_scenario_config("DubinsCar", 4, "obstacles", 11,
                                      n_obstacles=3)

@@ -1,9 +1,10 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swarmcbf import dynamics as dyn, world
 from swarmcbf.world import (Obstacle, ScenarioConfig, build_graph,
@@ -279,6 +280,79 @@ def test_pairs_within_keeps_self_pairs_and_boundary():
     assert qi.shape == pj.shape == dist.shape == (0,)
 
 
+def _assert_same_pairs(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# R values a grid of side R cannot bin, which pairs_within must route to
+# the dense pass: R = 0 (and -0.0) keeps coincident pairs, below 2**-500
+# squares underflow, and R = inf pairs even infinite points
+_UNBINNABLE_R = [0.0, -0.0, -1.0, 1e-300, math.nan, math.inf]
+
+
+@st.composite
+def _cell_cases(draw):
+    """Queries, points and R for the cell list: half-integer grids (pairs
+    at exactly R), coordinates on and next to cell boundaries, duplicate
+    points, queries far outside the points, non-finite and huge
+    coordinates, empty sets."""
+    d = draw(st.sampled_from([2, 3]))
+    R = draw(st.sampled_from([0.5, 1.0, 2.5, 0.1, 0.3, 2.0 ** -500, 1e10]
+                             + _UNBINNABLE_R))
+    side = R * world._CELL_MARGIN if 0 < R < math.inf else 1.0
+    boundary = st.builds(lambda k, cell, nudge: nudge(k * (side if cell else R)),
+                         st.integers(-6, 6), st.booleans(),
+                         st.sampled_from([lambda x: x,
+                                          lambda x: np.nextafter(x, np.inf),
+                                          lambda x: np.nextafter(x, -np.inf)]))
+    coord = st.one_of(st.integers(-8, 8).map(lambda k: k / 2.0), boundary,
+                      st.floats(-4.0, 4.0),
+                      st.sampled_from([math.nan, math.inf, -math.inf,
+                                       1e300, -1e301, 40.0, 1e-20, -1e-20]))
+    rows = st.lists(st.lists(coord, min_size=d, max_size=d), max_size=12)
+    p = np.array(draw(rows), dtype=float).reshape(-1, d)
+    if len(p):
+        p = np.concatenate([p, p[draw(st.lists(st.integers(0, len(p) - 1),
+                                               max_size=4))]])
+    q = np.array(draw(rows), dtype=float).reshape(-1, d)
+    with np.errstate(over="ignore"):
+        q = q * draw(st.sampled_from([1.0, 1.0, 25.0])) + draw(st.sampled_from([0.0, -30.0]))
+    return q, p, R
+
+
+@given(_cell_cases())
+# -1e-20 - 0.5 rounds to -0.5, so the dense pass pairs these at exactly R
+# although their cells of side exactly R (-1 and 1) are not neighbours
+@example((np.array([[-1e-20, 0.0]]), np.array([[0.5, 0.0]]), 0.5))
+@settings(max_examples=400, deadline=None)
+def test_pairs_cells_bitwise_equals_dense(case):
+    q, p, R = case
+    # differences of huge coordinates overflow to inf on both paths
+    with np.errstate(over="ignore"):
+        want = world._pairs_dense(q, p, R)
+        if world._MIN_CELL <= R < math.inf:
+            _assert_same_pairs(world._pairs_cells(q, p, R), want)
+        # with no dense cut-off, every input above takes the cell path
+        # unless R cannot be binned
+        with mock.patch.object(world, "_DENSE_MAX_PAIRS", 0):
+            _assert_same_pairs(world.pairs_within(q, p, R), want)
+
+
+def test_pairs_within_large_input_takes_the_cell_path():
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(0.0, 450.0, size=(200_000, 2))
+    assert len(pts) ** 2 > world._DENSE_MAX_PAIRS
+    qi, pj, dist = world.pairs_within(pts, pts, 1.0)
+    assert (np.diff(qi) >= 0).all() and ((np.diff(pj) > 0) | (np.diff(qi) > 0)).all()
+    some = np.sort(rng.choice(len(pts), size=4, replace=False))
+    want = [(int(some[i]), j, d) for i, j, d in _pairs_brute(pts[some], pts, 1.0)]
+    rows = np.isin(qi, some)
+    got = list(zip(qi[rows].tolist(), pj[rows].tolist(), dist[rows].tolist()))
+    assert got == want and len(want) > len(some)
+
+
 # --- graph -----------------------------------------------------------------
 
 def test_two_agents_within_radius_two_edges():
@@ -489,20 +563,50 @@ def test_obstacle_suite_samples_within_bounds():
 
 # sha256 of states and goals bytes, recorded before the sampler's
 # separation test moved onto pairs_within (the many-obstacle row: before its
-# clearance test moved onto obstacle_distance): the draw order and the
-# strict acceptance tests must not change
+# clearance test moved onto obstacle_distance; the N=1024 rows: before
+# pairs_within gained its cell list): the draw order and the strict
+# acceptance tests must not change
 @pytest.mark.parametrize("model,n,suite,seed,n_obs,digest", [
     ("SimpleCar", 16, "keep_density", 0, 0, "ea960515d440e333"),
     ("DubinsCar", 24, "keep_distance", 3, 0, "85962e93fdb70be3"),
     ("SimpleDrone", 32, "increase_density", 5, 0, "fd9109dcb2d9f495"),
     ("SimpleCar", 40, "obstacles", 7, 6, "bcf289bf0894471e"),
     ("SimpleCar", 128, "obstacles", 3, 96, "192b05b12180f7b3"),
+    ("SimpleCar", 1024, "keep_density", 1, 0, "a5c74e45c0552eb4"),
+    ("SimpleDrone", 1024, "keep_density", 1, 0, "372adddd60e00531"),
 ])
 def test_generate_scenario_pinned_digest(model, n, suite, seed, n_obs, digest):
     s = generate_scenario(make_scenario_config(model, n, suite, seed,
                                                n_obstacles=n_obs))
     h = hashlib.sha256(s.states.tobytes() + s.goals.tobytes()).hexdigest()
     assert h[:16] == digest
+
+
+def test_large_swarm_neighbourhoods_match_dense_reference():
+    """At N=1024 every pairs_within caller takes the cell path; after 20
+    nominal steps its flags, labels and graph edges are the dense pass's."""
+    cfg = make_scenario_config("SimpleCar", 1024, "keep_density", 1)
+    s = generate_scenario(cfg)
+    states = s.states
+    for _ in range(20):
+        u = dyn.nominal_control_batch(CAR, states, s.goals, cfg.dt)
+        states = step_world(CAR, states, u, (), s.goals, cfg.dt, cfg.r).states
+    states[7, :2] = states[3, :2] + [0.06, 0.0]      # one collision
+    states[11, 0] = np.nan
+
+    def outputs():
+        graph = build_graph(CAR, states, s.goals, None, cfg.sensing_radius)
+        return (world.collision_flags(CAR, states, (), cfg.r),
+                label_all(graph, cfg.r), graph.edge_dst, graph.edge_src)
+
+    assert len(states) ** 2 > world._DENSE_MAX_PAIRS
+    cells = outputs()
+    with mock.patch.object(world, "_DENSE_MAX_PAIRS", math.inf):
+        dense = outputs()
+    for a, b in zip(cells, dense):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert cells[0].sum() >= 3 and (cells[1] != LABEL_SAFE).sum() >= 3
+    assert len(cells[2]) > 500
 
 
 def test_packing_infeasible_raises():
