@@ -5,6 +5,12 @@ active, record backward closures in execution order.  Without an active
 tape the same ops run as plain numpy, so network code serves both
 training and fast evaluation.  Double precision throughout.
 
+Besides the elementwise and matrix primitives there is one fused op,
+``mlp``: a whole relu MLP recorded as a single tape record that keeps
+only each layer's input.  ``Tape.backward`` frees each record as it
+consumes it, so after a backward pass only leaves (tensors no op
+produced, e.g. parameters) hold a ``.grad``.
+
 Subgradient conventions: relu/clip/norm2 use 0 at their kinks.
 """
 from __future__ import annotations
@@ -37,7 +43,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def __getstate__(self):
         return (self.data, self.requires_grad)
@@ -94,6 +100,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, object]] = []
+        self._consumed = 0
         self._used = False
 
     def __enter__(self):
@@ -105,14 +112,22 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._records)
+        """Number of recorded ops, including those a backward pass consumed."""
+        return len(self._records) + self._consumed
 
     def reset(self):
         self._records.clear()
+        self._consumed = 0
         self._used = False
 
     def backward(self, loss: Tensor):
-        """Accumulate d(loss)/d(t) into t.grad for every recorded tensor."""
+        """Accumulate d(loss)/d(t) into t.grad for every leaf t that requires
+        grad: a tensor no recorded op produced, such as a parameter.
+
+        Records are freed as they are consumed, and each op output's .grad
+        is cleared once its backward closure has run, so no intermediate
+        array outlives the pass.
+        """
         if self._used:
             raise TapeError("tape already consumed by a backward pass; reset() first")
         if not self._records:
@@ -120,11 +135,16 @@ class Tape:
         if loss.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
         self._used = True
+        records = self._records
+        self._consumed = len(records)
         loss.grad = np.ones_like(loss.data)
-        for out, fn in reversed(self._records):
-            if out.grad is None:
+        while records:
+            out, fn = records.pop()
+            g = out.grad
+            if g is None:
                 continue
-            fn(out.grad)
+            fn(g)
+            out.grad = None
 
 
 def _tape() -> Tape | None:
@@ -237,6 +257,46 @@ def relu(a) -> Tensor:
         _accum(a, np.where(a.data > 0.0, g, 0.0))
 
     return _make(out_data, (a,), backward)
+
+
+def mlp(x, weights, biases) -> Tensor:
+    """Relu MLP with an affine last layer, recorded as one tape op.
+
+    Bitwise equal, value and gradients, to chaining matmul, add and relu
+    per layer, but the record keeps only each layer's input (the previous
+    relu output), not the pre-activations or per-op outputs.
+    """
+    x = as_tensor(x)
+    weights = [as_tensor(W) for W in weights]
+    biases = [as_tensor(b) for b in biases]
+    if x.ndim != 2 or any(W.ndim != 2 for W in weights):
+        raise ValueError(f"mlp expects a 2-D input and 2-D weights, got {x.shape}")
+    last = len(weights) - 1
+    ins = []                    # ins[k]: layer k's input; ins[k + 1] its relu output
+    need = [x.requires_grad]    # need[k]: does layer k's input need a gradient
+    h = x.data
+    for k, (W, b) in enumerate(zip(weights, biases)):
+        ins.append(h)
+        need.append(need[k] or W.requires_grad or b.requires_grad)
+        z = h @ W.data + b.data
+        h = np.maximum(z, 0.0) if k < last else z
+
+    def backward(g):
+        for k in range(last, -1, -1):
+            W, b = weights[k], biases[k]
+            if k < last:
+                # relu output > 0 exactly where its pre-activation is, NaN too
+                g = np.where(ins[k + 1] > 0.0, g, 0.0)
+            if b.requires_grad:
+                _accum(b, _unbroadcast(g, b.data.shape))
+            if W.requires_grad:
+                _accum(W, ins[k].T @ g)
+            if not need[k]:
+                return
+            g = g @ W.data.T
+        _accum(x, g)
+
+    return _make(h, [x] + weights + biases, backward)
 
 
 def exp(a) -> Tensor:

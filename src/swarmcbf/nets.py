@@ -177,10 +177,7 @@ def init(seed: int, scale: float, edge_dim: int,
 
 
 def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
-    h = x
-    for W, b in zip(p.weights[:-1], p.biases[:-1]):
-        h = ad.relu(ad.add(ad.matmul(h, W), b))
-    return ad.add(ad.matmul(h, p.weights[-1]), p.biases[-1])
+    return ad.mlp(x, p.weights, p.biases)
 
 
 def segment_softmax(logits: Tensor, seg: np.ndarray, n_segments: int) -> Tensor:

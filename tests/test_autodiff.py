@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swarmcbf.autodiff as ad
 from swarmcbf.autodiff import Tensor, Tape, TapeError
@@ -169,3 +170,111 @@ def test_grad_check_network_composites(seed):
 
     err = ad.grad_check(f, [W, b, g], max_coords=8, rng=rng)
     assert err < 1e-4
+
+
+def test_item_of_size_one_tensor_of_any_rank():
+    assert Tensor([[2.0]]).item() == 2.0
+    assert Tensor([3.5]).item() == 3.5
+    with pytest.raises(ValueError):
+        Tensor([1.0, 2.0]).item()
+
+
+def test_grad_check_on_a_one_by_one_output():
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(1, 3)))
+    W = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    assert ad.grad_check(lambda: ad.matmul(x, W), [W]) < 1e-7
+
+
+def test_backward_frees_intermediates_and_keeps_leaf_grads():
+    x = Tensor([[1.0, -2.0]], requires_grad=True)
+    W = Tensor([[0.5, 1.0], [-1.0, 2.0]], requires_grad=True)
+    frozen = Tensor([[1.0], [3.0]])
+    with Tape() as tape:
+        y = ad.relu(ad.matmul(x, W))
+        z = ad.mlp(y, [W, frozen], [Tensor([0.1, 0.2]), Tensor([0.0])])
+        loss = ad.tensor_sum(ad.mul(z, z))
+        recorded = len(tape)
+        tape.backward(loss)
+        assert len(tape) == recorded == 5
+        assert all(t.grad is None for t in (y, z, loss))
+        assert x.grad is not None and W.grad is not None and frozen.grad is None
+        with pytest.raises(TapeError):
+            tape.backward(loss)
+    tape.reset()
+    assert len(tape) == 0
+
+
+def _mlp_reference(x, weights, biases):
+    """The per-layer composition ad.mlp must reproduce bit for bit."""
+    h = x
+    for W, b in zip(weights[:-1], biases[:-1]):
+        h = ad.relu(ad.add(ad.matmul(h, W), b))
+    return ad.add(ad.matmul(h, weights[-1]), biases[-1])
+
+
+def _same(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _mlp_cases(draw):
+    n_layers = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 5), min_size=n_layers + 1,
+                         max_size=n_layers + 1))
+    rows = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def array(shape, special):
+        a = rng.normal(size=shape)
+        a[rng.random(size=shape) < 0.2] = 0.0       # exact zeros, relu kinks
+        if special:
+            mask = rng.random(size=shape) < 0.3
+            a[mask] = [draw(_SPECIAL) for _ in range(int(mask.sum()))]
+        return a
+
+    special = draw(st.booleans())
+    flags = st.lists(st.booleans(), min_size=n_layers, max_size=n_layers)
+    return dict(
+        xs=[array((rows, dims[0]), special) for _ in range(2)],
+        weights=[array((dims[k], dims[k + 1]), False) for k in range(n_layers)],
+        biases=[array(dims[k + 1], False) for k in range(n_layers)],
+        upstream=[array((rows, dims[-1]), False) for _ in range(2)],
+        x_grad=draw(st.booleans()), w_grad=draw(flags), b_grad=draw(flags),
+        calls=draw(st.integers(1, 2)))
+
+
+def _run_mlp(case, op):
+    """Value and every gradient of sum(upstream * op(x, W, b)) over one or
+    two calls sharing the parameters on one tape."""
+    xs = [Tensor(x, requires_grad=case["x_grad"]) for x in case["xs"]]
+    # a frozen parameter is a fresh non-grad view of the array, as nets.frozen makes
+    ws = [Tensor(W, requires_grad=g) for W, g in zip(case["weights"], case["w_grad"])]
+    bs = [Tensor(b, requires_grad=g) for b, g in zip(case["biases"], case["b_grad"])]
+    outs = []
+    with Tape() as tape:
+        loss = Tensor(0.0)
+        for k in range(case["calls"]):
+            out = op(xs[k], ws, bs)
+            outs.append(out.data)
+            loss = ad.add(loss, ad.tensor_sum(ad.mul(out, Tensor(case["upstream"][k]))))
+        if len(tape):
+            tape.backward(loss)
+    return outs, [t.grad for t in xs[:case["calls"]] + ws + bs]
+
+
+@given(_mlp_cases())
+@settings(max_examples=300, deadline=None)
+def test_fused_mlp_bitwise_equals_per_layer_ops(case):
+    with np.errstate(invalid="ignore", over="ignore"):
+        got_outs, got_grads = _run_mlp(case, ad.mlp)
+        want_outs, want_grads = _run_mlp(case, _mlp_reference)
+    assert all(_same(g, w) for g, w in zip(got_outs, want_outs))
+    assert len(got_grads) == len(want_grads)
+    for g, w in zip(got_grads, want_grads):
+        assert _same(g, w)

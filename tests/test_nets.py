@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from swarmcbf import dynamics as dyn, nets, world
-from swarmcbf.autodiff import Tensor
+import swarmcbf.autodiff as ad
+from swarmcbf import dynamics as dyn, evaluation, nets, runtime, training, world
+from swarmcbf.autodiff import Tape, Tensor
 
 CAR = dyn.make_model("SimpleCar")
 EDGE_DIM = dyn.edge_feature_dim(CAR)
@@ -160,3 +163,85 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     h1, _ = nets.barrier_values(b, g)
     h2, _ = nets.barrier_values(b2, g)
     assert np.array_equal(h1, h2)
+
+
+def _per_layer_mlp_forward(p, x):
+    """mlp_forward as matmul, add and relu tape ops per layer: the reference
+    the fused ad.mlp op must match bit for bit."""
+    h = x
+    for W, b in zip(p.weights[:-1], p.biases[:-1]):
+        h = ad.relu(ad.add(ad.matmul(h, W), b))
+    return ad.add(ad.matmul(h, p.weights[-1]), p.biases[-1])
+
+
+def _bitwise(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_obstacles", [0, 4])
+def test_training_loss_and_grads_match_per_layer_mlp(monkeypatch, n_obstacles):
+    cfg = training.TrainConfig.for_model(
+        "SimpleCar", n_agents=8, side_length=3.0, scale=0.125, steps=1,
+        rollout_length=8, seed=0, n_obstacles=n_obstacles, point_obstacles=False)
+    barrier, policy = fresh(seed=2)
+    rng = np.random.default_rng(6)
+    for t in policy.tensors():
+        t.data += rng.normal(size=t.data.shape) * 0.05
+    scn = training.scenario_sampler(cfg)(np.random.default_rng(3))
+    samples = training.collect_rollout(CAR, policy, scn, 8, 0.5,
+                                       np.random.default_rng(4))
+    hits = sum(s.graph_k.hit_pos.shape[0] for s in samples)
+    assert (hits > 0) == (n_obstacles > 0)
+    params = barrier.tensors() + policy.tensors()
+
+    def loss_and_grads():
+        ad.zero_grads(params)
+        with Tape() as tape:
+            total, _ = training.loss(barrier, policy, samples, CAR, cfg)
+            tape.backward(total)
+        return [total.data] + [p.grad for p in params]
+
+    got = loss_and_grads()
+    monkeypatch.setattr(nets, "mlp_forward", _per_layer_mlp_forward)
+    want = loss_and_grads()
+    assert sum(g is not None for g in got) > len(params) // 2
+    assert all(_bitwise(g, w) for g, w in zip(got, want))
+
+
+def test_select_control_matches_per_layer_mlp(monkeypatch):
+    """A few closed-loop steps of 64 cars among 16 obstacles with untrained
+    desk nets, which flag and refine agents."""
+    cfg = world.make_scenario_config("SimpleCar", 64, "obstacles", 64000,
+                                     n_obstacles=16)
+    scn = world.generate_scenario(cfg)
+    scn = dataclasses.replace(scn, config=dataclasses.replace(cfg, horizon=4))
+    barrier, policy = nets.init(0, 0.125, EDGE_DIM, CAR.control_dim)
+    spec = evaluation.ControllerSpec(kind="learned", barrier=barrier, policy=policy)
+    select_control = runtime.select_control
+
+    def decisions():
+        steps = []
+
+        def recorded(*args, **kwargs):
+            out = select_control(*args, **kwargs)
+            steps.append(out)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(runtime, "select_control", recorded)
+            evaluation.simulate_run(scn, spec)
+        return [(np.stack([d.control for d in out]), [d.mode for d in out],
+                 np.array([d.h_value for d in out]),
+                 np.array([d.hdot_value for d in out])) for out in steps]
+
+    got = decisions()
+    monkeypatch.setattr(nets, "mlp_forward", _per_layer_mlp_forward)
+    want = decisions()
+    assert len(got) == len(want) == 4
+    assert any(mode == "refined" for _, modes, _, _ in got for mode in modes)
+    for (u, modes, h, hdot), (u0, modes0, h0, hdot0) in zip(got, want):
+        assert modes == modes0
+        assert _bitwise(u, u0) and _bitwise(h, h0) and _bitwise(hdot, hdot0)
