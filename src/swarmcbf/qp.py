@@ -1,7 +1,8 @@
 """Handcrafted pairwise barrier for the planar double integrator and
-centralized/decentralized QP safety filters, with an embedded dense QP
-solver (active set for small problems, operator splitting + polish for
-the large joint problem).
+centralized/decentralized QP safety filters.  The centralized filter's
+joint problem goes to an embedded dense QP solver (active set, then
+operator splitting + polish); the decentralized filter's per-agent
+2-variable problems are solved exactly in one vectorized batch.
 
 Pair barrier between states x1, x2 (layout [px, py, vx, vy]):
 
@@ -21,22 +22,18 @@ import numpy as np
 from .world import pairs_within
 
 
-def pair_h(x1: np.ndarray, x2: np.ndarray, r: float) -> float:
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    dp = x1[:2] - x2[:2]
-    dv = x1[2:4] - x2[2:4]
-    return float(2.0 * dp @ dv + dp @ dp - 4.0 * r * r)
+def pair_h(x1: np.ndarray, x2: np.ndarray, r: float) -> np.ndarray:
+    """h of the pairs (x1, x2), states (..., 4)."""
+    x1, x2 = np.asarray(x1, dtype=np.float64), np.asarray(x2, dtype=np.float64)
+    dp, dv = x1[..., :2] - x2[..., :2], x1[..., 2:4] - x2[..., 2:4]
+    return 2.0 * (dp * dv).sum(-1) + (dp * dp).sum(-1) - 4.0 * r * r
 
 
-def pair_hdot_coeffs(x1: np.ndarray, x2: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Affine split hdot = const + c1.a1 + c2.a2."""
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    dp = x1[:2] - x2[:2]
-    dv = x1[2:4] - x2[2:4]
-    const = float(2.0 * dv @ dv + 2.0 * dp @ dv)
-    return const, 2.0 * dp, -2.0 * dp
+def pair_hdot_coeffs(x1: np.ndarray, x2: np.ndarray):
+    """Affine split hdot = const + c1.a1 + c2.a2 of the pairs (x1, x2)."""
+    x1, x2 = np.asarray(x1, dtype=np.float64), np.asarray(x2, dtype=np.float64)
+    dp, dv = x1[..., :2] - x2[..., :2], x1[..., 2:4] - x2[..., 2:4]
+    return 2.0 * (dv * dv).sum(-1) + 2.0 * (dp * dv).sum(-1), 2.0 * dp, -2.0 * dp
 
 
 @dataclass
@@ -230,6 +227,52 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8, max_iter: int = 10_000) -> Q
     return out
 
 
+def solve_qp2_batch(center: np.ndarray, A: np.ndarray, b: np.ndarray,
+                    bound: float, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Exact solve of K problems min |u - center_k|^2 s.t. A_k u >= b_k,
+    |u| <= bound at once: center (K, 2), A (K, M, 2), b (K, M), zero rows
+    with b = 0 pad, and a row is met within tol of its half-plane.  The
+    optimum is the clipped center, the projection of the center onto a line
+    it violates, or such a line's crossing with another: the candidate
+    nearest the center that meets every row.  An empty polygon leaves none.
+    Returns (u, solved), with the clipped center where unsolved."""
+    center = np.asarray(center, dtype=np.float64)
+    box = np.broadcast_to([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                          (center.shape[0], 4, 2))
+    A = np.concatenate([np.asarray(A, dtype=np.float64), box], axis=1)
+    b = np.concatenate([np.asarray(b, dtype=np.float64), np.full(box.shape[:2], -bound)], 1)
+    slack_tol = -tol * np.sqrt((A * A).sum(-1))[:, None]
+
+    def meets(points):    # (K, C, 2) -> (K, C): every row of the current A, b met
+        return np.all(points @ A.swapaxes(1, 2) - b[:, None] >= slack_tol, axis=-1)
+
+    u = np.clip(center, -bound, bound)
+    solved = meets(u[:, None])[:, 0]
+    todo = np.flatnonzero(~solved)
+    if todo.size == 0:
+        return u, solved
+    A, b, slack_tol, c = A[todo], b[todo], slack_tol[todo], center[todo]
+    violated = (A * c[:, None]).sum(-1) < b
+    k = np.arange(todo.size)
+    # every row each center violates (a non-finite center violates none)
+    first = np.argsort(~violated, axis=1, kind="stable")[:, :max(violated.sum(1).max(), 1)]
+    Aj, bj = A[k[:, None], first], b[k[:, None], first]     # (K, V, 2), (K, V)
+    with np.errstate(all="ignore"):
+        proj = c[:, None] + ((bj - (Aj * c[:, None]).sum(-1))
+                             / (Aj * Aj).sum(-1))[..., None] * Aj
+        Aj, bj, Ak, bk = Aj[:, :, None], bj[:, :, None], A[:, None], b[:, None]
+        det = Aj[..., 0] * Ak[..., 1] - Aj[..., 1] * Ak[..., 0]   # (K, V, M)
+        cross = np.stack([bj * Ak[..., 1] - bk * Aj[..., 1],
+                          Aj[..., 0] * bk - Ak[..., 0] * bj], axis=-1) / det[..., None]
+        cand = np.concatenate([proj, cross.reshape(todo.size, -1, 2)], axis=1)
+        dist = np.where(meets(cand), ((cand - c[:, None]) ** 2).sum(-1), np.inf)
+    best = cand[k, np.argmin(dist, axis=1)]
+    found = np.isfinite(dist.min(axis=1))
+    u[todo[found]] = np.clip(best[found], -bound, bound)
+    solved[todo] = found
+    return u, solved
+
+
 # --- safety filters -------------------------------------------------------
 
 # Discrete-time settings for the handcrafted filters: small alpha reacts
@@ -244,7 +287,7 @@ FILTER_MARGIN_DEFAULT = 0.05
 @dataclass
 class FilterResult:
     controls: np.ndarray          # (N, 2)
-    solve_time: float             # seconds, assembly + solve (pair scan excluded)
+    solve_time: float             # seconds: row assembly and solve, pair scan excluded
     fallback: np.ndarray          # (N,) bool, agents served by the clamped nominal
     n_constraints: int
     degenerate_pairs: int = 0
@@ -259,18 +302,27 @@ def _check_simplecar(states: np.ndarray, nominals: np.ndarray):
     return states, nominals
 
 
-def _speed_cap_row(v: np.ndarray, speed_bound: float, dt: float):
-    """Linearized speed limit: the along-velocity acceleration may not push
-    the speed past the bound, i.e. vhat . a <= (u_M - |v|) / dt.
+def _pair_rows(states: np.ndarray, i: np.ndarray, j: np.ndarray, r: float,
+               alpha: float, margin: float):
+    """Rows hdot + alpha h >= margin of the pairs (i, j) as (i, j, agent i's
+    coefficients c (agent j's are -c), right-hand side without agent j's
+    term, count of pairs dropped: coincident positions make a row vacuous)."""
+    const, c, _ = pair_hdot_coeffs(states[i], states[j])
+    rhs = margin - const - alpha * pair_h(states[i], states[j], r)
+    keep = ~np.all(np.abs(c) <= 1e-8, axis=1)
+    return i[keep], j[keep], c[keep], rhs[keep], int(np.count_nonzero(~keep))
 
-    Without this row the simulator's post-step speed clamp silently cancels
-    "accelerate away" commands for agents already at the speed cap, and the
-    realized pair derivative falls short of the QP's model.
-    """
-    s = np.linalg.norm(v)
-    if s < 1e-9:
-        return None
-    return -v / s, -(speed_bound - s) / dt   # as a row of A u >= b
+
+def _speed_caps(states: np.ndarray, agents: np.ndarray, speed_bound: float,
+                dt: float):
+    """Linearized speed limits vhat . a <= (u_M - |v|) / dt, as rows of
+    A u >= b for those of the agents that move (returned first).  Without
+    them the simulator's post-step speed clamp cancels "accelerate away"
+    commands at the cap, and the realized hdot falls short of the model."""
+    v = states[agents, 2:4]
+    s = np.sqrt((v * v).sum(1))
+    moving = ~(s < 1e-9)
+    return agents[moving], -v[moving] / s[moving, None], -(speed_bound - s[moving]) / dt
 
 
 def centralized_filter(states: np.ndarray, nominals: np.ndarray, alpha: float,
@@ -284,48 +336,20 @@ def centralized_filter(states: np.ndarray, nominals: np.ndarray, alpha: float,
     n = states.shape[0]
     qi, pj, _ = pairs_within(states[:, :2], states[:, :2], R)
     upper = qi < pj
-    pairs = zip(qi[upper].tolist(), pj[upper].tolist())
-
     t0 = time.perf_counter()
-    rows, rhs = [], []
-    degenerate = 0
-    involved: set[int] = set()
-    for i, j in pairs:
-        h = pair_h(states[i], states[j], r)
-        const, ci, cj = pair_hdot_coeffs(states[i], states[j])
-        if np.allclose(ci, 0.0):
-            degenerate += 1     # coincident positions: row is vacuous, drop it
-            continue
-        row = np.zeros(2 * n)
-        row[2 * i:2 * i + 2] = ci
-        row[2 * j:2 * j + 2] = cj
-        rows.append(row)
-        rhs.append(margin - const - alpha * h)
-        involved.update((i, j))
-    for i in sorted(involved):
-        cap = _speed_cap_row(states[i, 2:4], speed_bound, dt)
-        if cap is not None:
-            row = np.zeros(2 * n)
-            row[2 * i:2 * i + 2] = cap[0]
-            rows.append(row)
-            rhs.append(cap[1])
-    A = np.array(rows) if rows else np.zeros((0, 2 * n))
-    b = np.array(rhs) if rhs else np.zeros(0)
-    problem = QpProblem(center=nominals.ravel(), A=A, b=b,
-                        lb=np.full(2 * n, -control_bound),
-                        ub=np.full(2 * n, control_bound))
+    qi, pj, c, rhs, degenerate = _pair_rows(states, qi[upper], pj[upper], r, alpha, margin)
+    capped, cap, cap_rhs = _speed_caps(states, np.unique(np.concatenate([qi, pj])),
+                                       speed_bound, dt)
+    A = np.zeros((qi.size + capped.size, n, 2))
+    k = np.arange(A.shape[0])
+    A[k[:qi.size], qi], A[k[:qi.size], pj], A[k[qi.size:], capped] = c, -c, cap
+    problem = QpProblem(nominals.ravel(), A.reshape(len(A), 2 * n), np.concatenate([rhs, cap_rhs]),
+                        np.full(2 * n, -control_bound), np.full(2 * n, control_bound))
     out = solve_qp(problem, tol=tol)
     solve_time = time.perf_counter() - t0
-
-    fallback = np.zeros(n, dtype=bool)
-    if out.status == "optimal":
-        controls = out.u.reshape(n, 2)
-    else:
-        controls = np.clip(nominals, -control_bound, control_bound)
-        fallback[:] = True
-    return FilterResult(controls=controls, solve_time=solve_time,
-                        fallback=fallback, n_constraints=A.shape[0],
-                        degenerate_pairs=degenerate)
+    ok = out.status == "optimal"
+    controls = out.u.reshape(n, 2) if ok else np.clip(nominals, -control_bound, control_bound)
+    return FilterResult(controls, solve_time, np.full(n, not ok), A.shape[0], degenerate)
 
 
 def decentralized_filter(states: np.ndarray, nominals: np.ndarray, alpha: float,
@@ -333,47 +357,23 @@ def decentralized_filter(states: np.ndarray, nominals: np.ndarray, alpha: float,
                          tol: float = 1e-8, margin: float = FILTER_MARGIN_DEFAULT,
                          speed_bound: float = 0.8, dt: float = 0.03
                          ) -> FilterResult:
-    """Per-agent 2-variable QPs; neighbors assumed to apply their nominal."""
+    """Per-agent 2-variable QPs, neighbors assumed to apply their nominal,
+    solved together by `solve_qp2_batch` (tol is its row tolerance)."""
     states, nominals = _check_simplecar(states, nominals)
     n = states.shape[0]
     qi, pj, _ = pairs_within(states[:, :2], states[:, :2], R)
     other = qi != pj
-    qi, pj = qi[other], pj[other]
-    first = np.searchsorted(qi, np.arange(n + 1))
-    controls = np.zeros_like(nominals)
-    fallback = np.zeros(n, dtype=bool)
-    total_rows = 0
-    degenerate = 0
-    solve_time = 0.0
-    for i in range(n):
-        nbrs = pj[first[i]:first[i + 1]]
-        t0 = time.perf_counter()
-        rows, rhs = [], []
-        for j in nbrs:
-            h = pair_h(states[i], states[j], r)
-            const, ci, cj = pair_hdot_coeffs(states[i], states[j])
-            if np.allclose(ci, 0.0):
-                degenerate += 1
-                continue
-            rows.append(ci)
-            rhs.append(margin - const - alpha * h - cj @ nominals[j])
-        cap = _speed_cap_row(states[i, 2:4], speed_bound, dt)
-        if cap is not None and rows:
-            rows.append(cap[0])
-            rhs.append(cap[1])
-        A = np.array(rows) if rows else np.zeros((0, 2))
-        b = np.array(rhs) if rhs else np.zeros(0)
-        problem = QpProblem(center=nominals[i], A=A, b=b,
-                            lb=np.full(2, -control_bound),
-                            ub=np.full(2, control_bound))
-        out = solve_qp(problem, tol=tol)
-        if out.status == "optimal":
-            controls[i] = out.u
-        else:
-            controls[i] = np.clip(nominals[i], -control_bound, control_bound)
-            fallback[i] = True
-        solve_time += time.perf_counter() - t0
-        total_rows += A.shape[0]
-    return FilterResult(controls=controls, solve_time=solve_time,
-                        fallback=fallback, n_constraints=total_rows,
-                        degenerate_pairs=degenerate)
+    t0 = time.perf_counter()
+    qi, pj, c, rhs, degenerate = _pair_rows(states, qi[other], pj[other], r, alpha, margin)
+    rhs = rhs + (c * nominals[pj]).sum(1)
+    capped, cap, cap_rhs = _speed_caps(states, np.unique(qi), speed_bound, dt)
+    # each agent's pair rows in pairs_within order, then its speed cap
+    n_pairs = np.bincount(qi, minlength=n)
+    slot = np.arange(qi.size) - (np.cumsum(n_pairs) - n_pairs)[qi]
+    A = np.zeros((n, n_pairs.max(initial=0) + 1, 2))
+    b = np.zeros(A.shape[:2])
+    A[qi, slot], b[qi, slot] = c, rhs
+    A[capped, n_pairs[capped]], b[capped, n_pairs[capped]] = cap, cap_rhs
+    controls, solved = solve_qp2_batch(nominals, A, b, control_bound, tol)
+    return FilterResult(controls, time.perf_counter() - t0, ~solved,
+                        qi.size + capped.size, degenerate)

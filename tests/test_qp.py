@@ -2,8 +2,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from swarmcbf import qp
+from swarmcbf.dynamics import make_model, nominal_control_batch
+from swarmcbf.world import generate_scenario, make_scenario_config, pairs_within
 
 
 def test_pair_h_static_pair():
@@ -227,3 +231,161 @@ def test_bounds_respected():
     out = qp.centralized_filter(states, nominals, 1.0, 0.05, 1.0,
                                 control_bound=10.0)
     assert np.all(np.abs(out.controls) <= 10.0 + 1e-9)
+
+
+# --- batched 2-variable solver and the decentralized filter --------------------
+
+@st.composite
+def _qp2_batches(draw):
+    """1-3 problems on a half-integer grid, padded into one batch, so that
+    zero, duplicate and parallel rows, slack exactly 0, empty polygons and
+    centers outside the box are all exact."""
+    half = st.integers(-16, 16).map(lambda k: k / 2.0)
+    coef = st.integers(-3, 3).map(float)
+    problems = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = np.array([draw(half), draw(half)])
+        A = [[draw(coef), draw(coef)] for _ in range(draw(st.integers(0, 4)))]
+        b = [draw(half) for _ in A]
+        if A and draw(st.booleans()):       # a parallel (or duplicate) copy
+            k = draw(st.integers(0, len(A) - 1))
+            A.append([draw(st.sampled_from([1.0, 2.0, -1.0])) * a for a in A[k]])
+            b.append(draw(half))
+        if A and draw(st.booleans()):       # a row through the center
+            k = draw(st.integers(0, len(A) - 1))
+            b[k] = float(np.dot(A[k], center))
+        problems.append((center, np.array(A).reshape(-1, 2), np.array(b)))
+    return problems, draw(st.sampled_from([1.0, 2.5, 5.0]))
+
+
+@given(_qp2_batches())
+@settings(max_examples=200, deadline=None)
+def test_batched_qp2_matches_enumeration_oracle(case):
+    problems, bound = case
+    m = max(A.shape[0] for _, A, _ in problems)
+    A = np.zeros((len(problems), m, 2))
+    b = np.zeros((len(problems), m))
+    for k, (_, Ak, bk) in enumerate(problems):
+        A[k, :len(bk)], b[k, :len(bk)] = Ak, bk
+    u, solved = qp.solve_qp2_batch(np.array([c for c, _, _ in problems]), A, b, bound)
+    for k, (center, Ak, bk) in enumerate(problems):
+        ref = brute_force_qp(qp.QpProblem(center, Ak, bk, lb=np.full(2, -bound),
+                                          ub=np.full(2, bound)))
+        clipped = np.clip(center, -bound, bound)
+        clipped_meets_rows = not Ak.size or (Ak @ clipped - bk).min() >= 0.0
+        assert solved[k] == (ref is not None)
+        if ref is not None:
+            assert np.abs(u[k] - ref).max() <= 1e-9
+            assert np.abs(u[k]).max() <= bound
+        if ref is None or clipped_meets_rows:
+            assert np.array_equal(u[k], clipped)    # the answer or the fallback
+
+
+def test_batched_qp2_solves_a_problem_the_dense_solver_calls_infeasible():
+    """Step 10, agent 34 of the mdcbf_qp benchmark round at seed 1.  The
+    per-agent dense solver (active set, then operator splitting) called it
+    infeasible; a point meets every row."""
+    center = np.array([10.0, 1.0445155589421666])
+    A = np.array([[-0.35370116035170795, -1.176512741058744],
+                  [-0.9303055332694292, 1.2304166872881268],
+                  [0.07001056353280109, 0.9975462500525074]])
+    b = np.array([2.600975719453799, -8.138083534211134, -3.700743415417189e-15])
+    u, solved = qp.solve_qp2_batch(center[None], A[None], b[None], 10.0)
+    assert solved[0]
+    assert np.abs(u[0] - [-9.59308632, 0.67326941]).max() < 1e-8
+    assert (A @ u[0] - b).min() >= -1e-12 and np.abs(u[0]).max() <= 10.0
+    ref = minimize(lambda x: ((x - center) ** 2).sum(), np.zeros(2),
+                   jac=lambda x: 2.0 * (x - center), method="SLSQP",
+                   bounds=[(-10.0, 10.0)] * 2,
+                   constraints=[{"type": "ineq", "fun": lambda x: A @ x - b,
+                                 "jac": lambda x: A}],
+                   options={"ftol": 1e-15, "maxiter": 500}).x
+    assert np.abs(u[0] - ref).max() <= 1e-9
+
+
+def _per_agent_filter(states, nominals, alpha, r, R, bound=10.0,
+                      margin=qp.FILTER_MARGIN_DEFAULT, speed_bound=0.8, dt=0.03):
+    """The decentralized filter as a loop: each agent's rows built one
+    neighbor at a time and handed to solve_qp."""
+    qi, pj, _ = pairs_within(states[:, :2], states[:, :2], R)
+    controls, fallback, n_rows = np.zeros_like(nominals), np.zeros(len(states), bool), 0
+    for i in range(len(states)):
+        rows, rhs = [], []
+        for j in pj[(qi == i) & (pj != i)]:
+            h = qp.pair_h(states[i], states[j], r)
+            const, ci, cj = qp.pair_hdot_coeffs(states[i], states[j])
+            if not np.allclose(ci, 0.0):
+                rows.append(ci)
+                rhs.append(margin - const - alpha * h - cj @ nominals[j])
+        s = np.linalg.norm(states[i, 2:4])
+        if rows and s >= 1e-9:
+            rows.append(-states[i, 2:4] / s)
+            rhs.append(-(speed_bound - s) / dt)
+        out = qp.solve_qp(qp.QpProblem(nominals[i], np.reshape(rows, (-1, 2)),
+                                       np.array(rhs), lb=np.full(2, -bound),
+                                       ub=np.full(2, bound)))
+        fallback[i] = out.status != "optimal"
+        controls[i] = np.clip(nominals[i], -bound, bound) if fallback[i] else out.u
+        n_rows += len(rows)
+    return controls, fallback, n_rows
+
+
+def test_decentralized_filter_matches_per_agent_solves():
+    car = make_model("SimpleCar")
+    cfg = make_scenario_config("SimpleCar", 64, "keep_density", 0)
+    scn = generate_scenario(cfg)
+    u_nom = nominal_control_batch(car, scn.states, scn.goals)
+    out = qp.decentralized_filter(scn.states, u_nom, qp.FILTER_ALPHA_DEFAULT,
+                                  cfg.r, cfg.sensing_radius)
+    controls, fallback, n_rows = _per_agent_filter(
+        scn.states, u_nom, qp.FILTER_ALPHA_DEFAULT, cfg.r, cfg.sensing_radius)
+    moved = ~np.all(out.controls == u_nom, axis=1) & ~out.fallback
+    assert out.fallback.any() and moved.sum() >= 5      # the state exercises both
+    assert np.array_equal(out.fallback, fallback)
+    assert out.n_constraints == n_rows
+    assert np.abs(out.controls - controls).max() <= 1e-9
+    assert np.array_equal(out.controls[~moved], controls[~moved])
+
+
+def test_centralized_rows_match_per_pair_assembly(monkeypatch):
+    """Row order: pairs i < j in pairs_within order, then speed caps in
+    agent order; coefficients as the per-pair formulas give them."""
+    rng = np.random.default_rng(5)
+    states = np.concatenate([rng.uniform(0, 1.5, (12, 2)), rng.normal(0, 0.5, (12, 2))], 1)
+    states[3] = states[7] + [0.0, 0.0, 0.1, 0.0]       # a coincident pair
+    nominals = rng.normal(0, 2, (12, 2))
+    seen = []
+
+    def keep_problem(problem, tol):
+        seen.append(problem)
+        return qp.QpResult(problem.center, "optimal", 0, 0.0, np.zeros(0))
+
+    monkeypatch.setattr(qp, "solve_qp", keep_problem)
+    out = qp.centralized_filter(states, nominals, 5.0, 0.05, 0.6)
+    qi, pj, _ = pairs_within(states[:, :2], states[:, :2], 0.6)
+    rows, rhs, involved = [], [], []
+    for i, j in zip(qi.tolist(), pj.tolist()):
+        const, ci, cj = qp.pair_hdot_coeffs(states[i], states[j])
+        if i < j and not np.allclose(ci, 0.0):
+            row = np.zeros(24)
+            row[2 * i:2 * i + 2], row[2 * j:2 * j + 2] = ci, cj
+            rows.append(row)
+            rhs.append(qp.FILTER_MARGIN_DEFAULT - const - 5.0 * qp.pair_h(states[i], states[j], 0.05))
+            involved += [i, j]
+    for i in sorted(set(involved)):
+        s = np.linalg.norm(states[i, 2:4])
+        row = np.zeros(24)
+        row[2 * i:2 * i + 2] = -states[i, 2:4] / s
+        rows.append(row)
+        rhs.append(-(0.8 - s) / 0.03)
+    assert out.degenerate_pairs == 1 and out.n_constraints == len(rows)
+    assert np.allclose(seen[0].A, rows, rtol=0, atol=1e-12)
+    assert np.allclose(seen[0].b, rhs, rtol=0, atol=1e-12)
+
+
+def test_decentralized_non_finite_nominal_falls_back_alone():
+    states = np.array([[0.0, 0, 0, 0], [5.0, 5, 0, 0]])
+    nominals = np.array([[np.nan, 0.0], [1.0, 1.0]])
+    out = qp.decentralized_filter(states, nominals, 5.0, 0.05, 1.0)
+    assert out.fallback.tolist() == [True, False]
+    assert np.array_equal(out.controls, nominals, equal_nan=True)
