@@ -251,9 +251,19 @@ def barrier_values(params: BarrierParams, graph: GraphSnapshot) -> tuple[np.ndar
 
 
 def policy_controls(params: PolicyParams, graph: GraphSnapshot,
-                    u_nom: np.ndarray, control_bound: float) -> np.ndarray:
-    u = policy_forward_edges(params, Tensor(graph.edge_feat), graph.edge_flag,
-                             graph.edge_dst, graph.n_agents,
+                    u_nom: np.ndarray, control_bound: float,
+                    rows: np.ndarray | None = None) -> np.ndarray:
+    """Plain-numpy policy controls of every agent, or only of the distinct
+    agents rows[k] (row k of the result), from their own in-edges."""
+    feat, flag, dst = graph.edge_feat, graph.edge_flag, graph.edge_dst
+    n = graph.n_agents
+    if rows is not None:
+        slot = np.full(n, -1)
+        slot[rows] = np.arange(len(rows))
+        keep = slot[dst] >= 0
+        feat, flag, dst = feat[keep], flag[keep], slot[dst[keep]]
+        u_nom, n = np.asarray(u_nom)[rows], len(rows)
+    u = policy_forward_edges(params, Tensor(feat), flag, dst, n,
                              Tensor(u_nom), control_bound)
     return u.data.copy()
 

@@ -157,21 +157,27 @@ def _descend_rows(value_and_grad, U0: np.ndarray, config: RefineConfig,
     residues.  value_and_grad(active, U) evaluates rows `active` at U.
 
     Each row keeps its own iterate, best iterate and iteration count, and
-    stops being evaluated once its best residue reaches 0 or it has spent
-    config.max_iters iterations.
+    stops being evaluated once its best residue reaches 0, it has spent
+    config.max_iters iterations, or its projected step leaves its iterate
+    where it is (a zero gradient, or one the clip cancels): evaluating it
+    there again would repeat the last value and gradient.
     """
     U = np.array(U0, dtype=np.float64)
     vals, grads = value_and_grad(np.arange(U.shape[0]), U)
     best_U, best_val = U.copy(), np.array(vals, dtype=np.float64)
     grads = np.array(grads, dtype=np.float64)
     iters = np.zeros(U.shape[0], dtype=int)
+    stuck = np.zeros(U.shape[0], dtype=bool)
     for _ in range(config.max_iters):
-        active = np.nonzero(best_val > 0.0)[0]
-        if not active.size:
-            break
+        active = np.nonzero((best_val > 0.0) & ~stuck)[0]
         Ua = U[active] - config.step_size * grads[active]
         if clip_bound is not None:
             Ua = np.clip(Ua, -clip_bound, clip_bound)
+        moved = (Ua != U[active]).any(axis=1)
+        stuck[active[~moved]] = True
+        active, Ua = active[moved], Ua[moved]
+        if not active.size:
+            break
         U[active] = Ua
         vals, g = value_and_grad(active, Ua)
         grads[active] = g
@@ -216,9 +222,9 @@ def select_control(barrier: BarrierParams, policy: PolicyParams,
     """Per-agent switching: nominal when it passes the detector, otherwise
     the learned control, refined if it still violates.
 
-    Each stage runs once for all the agents it concerns: the learned check
-    over the flagged agents, then each descent iteration and the final
-    re-check over those the learned control did not clear.
+    Each stage runs once for all the agents it concerns: the policy and the
+    learned check over the flagged agents, then each descent iteration and
+    the final re-check over those the learned control did not clear.
     """
     if config is None:
         config = RefineConfig()
@@ -230,17 +236,18 @@ def select_control(barrier: BarrierParams, policy: PolicyParams,
 
     flagged = np.nonzero(~ok)[0]
     if flagged.size:
-        u_nn = nets.policy_controls(policy, graph, u_nom, model.control_bound)
+        u_nn = nets.policy_controls(policy, graph, u_nom, model.control_bound,
+                                    rows=flagged)
         X1_nom = dynamics.step_batch(model, graph.states, u_nom, dt)
-        h1, edges = _virtual_h(barrier, graph, X1_nom, flagged, u_nn[flagged], dt)
+        h1, edges = _virtual_h(barrier, graph, X1_nom, flagged, u_nn, dt)
         hdot[flagged] = (h1 - h_now[flagged]) / dt
-        controls[flagged] = u_nn[flagged]
+        controls[flagged] = u_nn
         failed = np.nonzero(~(hdot[flagged] + alpha * h_now[flagged] >= 0.0))[0]
         rows = flagged[failed]
         for i in flagged:
             modes[i] = "learned"
         if rows.size:
-            U = u_nn[rows]
+            U = u_nn[failed]
             if use_refine:
                 fn = _make_residue_rows(barrier, graph, X1_nom, edges.subset(failed),
                                         h_now[rows], dt, alpha, config.gamma)

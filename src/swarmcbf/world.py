@@ -152,27 +152,38 @@ def pairs_within(queries: np.ndarray, points: np.ndarray,
 
     This is the package's one neighbor search.  Self-pairs are kept when
     queries and points overlap; callers mask them.  A point with a
-    non-finite coordinate is in no pair (for finite R).  Small inputs take
-    one dense (Q, P) pass; large ones a cell list, whose output is bitwise
-    the same.
+    non-finite coordinate is in no pair (for finite R).  Q queries and P
+    points take one dense (Q, P) pass when Q * P <= _DENSE_K * (Q + P),
+    and a cell list otherwise; the output is bitwise the same either way.
     """
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
-    if (queries.shape[0] * points.shape[0] <= _DENSE_MAX_PAIRS
+    n_pairs = queries.shape[0] * points.shape[0]
+    n_inputs = queries.shape[0] + points.shape[0]
+    # an empty input is dense whatever K, so 0 * inf never decides
+    if (not n_pairs or n_pairs <= _DENSE_K * n_inputs
             or not _MIN_CELL <= R < np.inf):
         return _pairs_dense(queries, points, R)
     return _pairs_cells(queries, points, R)
 
 
-# Inputs of at most this many (query, point) pairs take the dense pass.
-# Measured on a 2-vCPU box (best of 200 calls, keep_density geometry):
-# square inputs cross over near Q = P = 64 (~0.1 ms either way; 256 x 256
-# takes 1.3-1.8 ms dense, 0.2 ms binned), but binning costs ~0.15 us per
-# point, which one query never repays (Q = 1, P = 2**16: 1.0 ms dense,
-# 10.4 ms binned).  2**16 keeps the scenario sampler's one-query calls
-# dense up to 65536 placed points, and training's 8-agent blocks and the
-# 64-agent graphs dense too.
-_DENSE_MAX_PAIRS = 2 ** 16
+# The dense pass costs in proportion to Q * P; the cell list a fixed
+# ~0.05-0.1 ms plus ~0.1-0.4 us per query or point.  Of the K tried
+# (4 to 64), K = 20 wastes the least time summed over the grid
+# Q <= P in {1, 2, 4, 8, 16, 24, 32, 48, 64, 96, 128, 256, 512, 1024},
+# in 2-D (R = 1) and 3-D (R = 0.5) alike: keep_density side for P, both
+# paths timed best of 5 runs of 3-50 calls, on one core of a 2-vCPU box
+# with 1 BLAS thread.  In ms, dense / binned, 2-D:
+#   1 x 4096  0.08 / 0.48     8 x 8      0.01 / 0.06    64 x 64     0.10 / 0.08
+#   4 x 4096  0.32 / 0.31    32 x 32     0.03 / 0.07   256 x 256    1.25 / 0.24
+#   8 x 4096  0.52 / 0.31    56 x 56     0.08 / 0.08  1024 x 1024  23.6 / 0.92
+#  20 x 256   0.12 / 0.08    64 x 16     0.03 / 0.07
+# An input with at most K queries or at most K points is dense whatever
+# the other size: the scenario sampler's one-query calls, training's
+# 8-agent blocks, the LiDAR cull against 16 obstacles.  So are k x 64 for
+# k <= 29 (the runtime's flagged rows among 64 agents).  Square inputs
+# above 40 x 40 (the 64-agent graphs, the 256-agent filter) are binned.
+_DENSE_K = 20
 # Below this R the squared differences the dense pass sums can underflow to
 # 0, and it pairs points farther apart than R: no grid of side R finds them.
 _MIN_CELL = 2.0 ** -500

@@ -121,6 +121,26 @@ def test_zero_init_policy_equals_nominal():
     assert np.array_equal(out, np.clip(u_nom, -10, 10))
 
 
+def test_policy_controls_of_some_rows_match_all_rows():
+    """rows= runs the policy on those agents' in-edges only; each row
+    equals that agent's control from the whole graph."""
+    rng = np.random.default_rng(3)
+    _, p = fresh(seed=4)
+    for t in p.head.weights:        # the fresh head returns u_nom exactly
+        t.data += 0.1 * rng.normal(size=t.data.shape)
+    g = random_graph(rng, n=12, side=1.5)
+    u_nom = rng.normal(size=(g.n_agents, 2))
+    every = nets.policy_controls(p, g, u_nom, 10.0)
+    assert not np.allclose(every, u_nom)
+    isolated = np.setdiff1d(np.arange(g.n_agents), g.edge_dst)
+    for rows in (np.array([5]), np.array([0, 3, 4, 11]), np.arange(g.n_agents),
+                 np.concatenate([isolated, [int(g.edge_dst[0])]]),
+                 np.array([], dtype=np.intp)):
+        got = nets.policy_controls(p, g, u_nom, 10.0, rows=rows)
+        assert got.shape == (len(rows), 2)
+        np.testing.assert_allclose(got, every[rows], rtol=0, atol=1e-12)
+
+
 def test_isolated_agent_zero_aggregate():
     b, p = fresh()
     g = world.build_graph(CAR, np.array([[0.0, 0, 0, 0]]), np.zeros((1, 2)),

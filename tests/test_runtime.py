@@ -115,6 +115,42 @@ def test_refine_noop_when_residue_already_zero():
     assert len(calls) == 1
 
 
+def test_descent_retires_a_stuck_row():
+    """A row whose projected step leaves it in place (a zero gradient, or
+    one the clip cancels) is not evaluated again; the other rows descend
+    exactly as they would alone."""
+    calls = []
+
+    def flat(u):
+        calls.append(u.copy())
+        return 0.5, np.zeros_like(u)
+
+    cfg = RefineConfig(max_iters=30)
+    out, val, iters = runtime.descend_residue(flat, np.array([1.0, 2.0]), cfg)
+    assert len(calls) == 1 and iters == 0
+    assert np.array_equal(out, [1.0, 2.0]) and val == 0.5
+
+    target = np.array([0.3, -0.7])
+
+    def rows_fn(active, U):
+        calls.append(active.copy())
+        d = U - target
+        vals = (d * d).sum(axis=1)
+        grads = 2 * d
+        grads[active == 1] = 0.0                # row 1: zero gradient
+        grads[active == 2] = [-1.0, 0.0]        # row 2: pushed past the clip
+        return vals, grads
+
+    calls.clear()
+    U0 = np.array([[1.0, 0.5], [0.9, 0.2], [3.0, -0.7]])
+    U, vals, iters = runtime._descend_rows(rows_fn, U0, cfg, clip_bound=3.0)
+    assert [c.tolist() for c in calls[:2]] == [[0, 1, 2], [0]]
+    assert np.array_equal(U[1:], U0[1:]) and list(iters[1:]) == [0, 0]
+    alone = runtime._descend_rows(rows_fn, U0[:1], cfg, clip_bound=3.0)
+    assert np.array_equal(U[0], alone[0][0]) and vals[0] == alone[1][0]
+    assert iters[0] == alone[2][0] == cfg.max_iters
+
+
 def test_descend_quadratic_residue_converges():
     target = np.array([0.3, -0.7])
 

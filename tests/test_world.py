@@ -334,16 +334,16 @@ def test_pairs_cells_bitwise_equals_dense(case):
         want = world._pairs_dense(q, p, R)
         if world._MIN_CELL <= R < math.inf:
             _assert_same_pairs(world._pairs_cells(q, p, R), want)
-        # with no dense cut-off, every input above takes the cell path
+        # with K = 0, every non-empty input above takes the cell path
         # unless R cannot be binned
-        with mock.patch.object(world, "_DENSE_MAX_PAIRS", 0):
+        with mock.patch.object(world, "_DENSE_K", 0):
             _assert_same_pairs(world.pairs_within(q, p, R), want)
 
 
 def test_pairs_within_large_input_takes_the_cell_path():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0.0, 450.0, size=(200_000, 2))
-    assert len(pts) ** 2 > world._DENSE_MAX_PAIRS
+    assert len(pts) ** 2 > world._DENSE_K * 2 * len(pts)
     qi, pj, dist = world.pairs_within(pts, pts, 1.0)
     assert (np.diff(qi) >= 0).all() and ((np.diff(pj) > 0) | (np.diff(qi) > 0)).all()
     some = np.sort(rng.choice(len(pts), size=4, replace=False))
@@ -351,6 +351,27 @@ def test_pairs_within_large_input_takes_the_cell_path():
     rows = np.isin(qi, some)
     got = list(zip(qi[rows].tolist(), pj[rows].tolist(), dist[rows].tolist()))
     assert got == want and len(want) > len(some)
+
+
+@pytest.mark.parametrize("Q, P, path", [
+    (1, 4096, "dense"),      # the scenario sampler: one query
+    (0, 64, "dense"),
+    (8, 8, "dense"),         # a training block
+    (29, 64, "dense"),       # flagged rows among 64 agents
+    (64, 16, "dense"),       # LiDAR cull against 16 obstacles
+    (64, 64, "cells"),
+    (256, 256, "cells"),     # the 256-agent filter and collision check
+    (1024, 1024, "cells"),
+])
+def test_pairs_within_picks_the_path_by_size(Q, P, path):
+    rng = np.random.default_rng(Q + P)
+    side = world.suite_side("keep_density", max(Q, P), 2)
+    q, p = rng.uniform(0.0, side, (Q, 2)), rng.uniform(0.0, side, (P, 2))
+    with mock.patch.object(world, "_pairs_dense", wraps=world._pairs_dense) as dense, \
+            mock.patch.object(world, "_pairs_cells", wraps=world._pairs_cells) as cells:
+        world.pairs_within(q, p, 1.0)
+        world.pairs_within(q, p, math.inf)      # R a grid cannot bin
+    assert (dense.call_count, cells.call_count) == ((2, 0) if path == "dense" else (1, 1))
 
 
 # --- graph -----------------------------------------------------------------
@@ -599,9 +620,9 @@ def test_large_swarm_neighbourhoods_match_dense_reference():
         return (world.collision_flags(CAR, states, (), cfg.r),
                 label_all(graph, cfg.r), graph.edge_dst, graph.edge_src)
 
-    assert len(states) ** 2 > world._DENSE_MAX_PAIRS
+    assert len(states) ** 2 > world._DENSE_K * 2 * len(states)
     cells = outputs()
-    with mock.patch.object(world, "_DENSE_MAX_PAIRS", math.inf):
+    with mock.patch.object(world, "_DENSE_K", math.inf):
         dense = outputs()
     for a, b in zip(cells, dense):
         assert a.dtype == b.dtype and np.array_equal(a, b)
