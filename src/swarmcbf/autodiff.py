@@ -5,9 +5,11 @@ active, record backward closures in execution order.  Without an active
 tape the same ops run as plain numpy, so network code serves both
 training and fast evaluation.  Double precision throughout.
 
-Besides the elementwise and matrix primitives there is one fused op,
-``mlp``: a whole relu MLP recorded as a single tape record that keeps
-only each layer's input.  ``Tape.backward`` frees each record as it
+The ops are only those the networks, the dynamics and the loss use.
+Two of them are fused, each recorded as a single tape record with a
+hand-written backward: ``mlp``, a whole relu MLP that keeps only each
+layer's input, and ``attention_aggregate``, a per-group softmax and
+attention-weighted sum.  ``Tape.backward`` frees each record as it
 consumes it, so after a backward pass only leaves (tensors no op
 produced, e.g. parameters) hold a ``.grad``.
 
@@ -79,12 +81,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -200,15 +196,6 @@ def sub(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, -g)
-
-    return _make(-a.data, (a,), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data * b.data
@@ -227,24 +214,6 @@ def div(a, b) -> Tensor:
     def backward(g):
         _accum(a, _unbroadcast(g / b.data, a.data.shape))
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        # skip the product for a constant operand, e.g. frozen weights
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
 
     return _make(out_data, (a, b), backward)
 
@@ -297,16 +266,6 @@ def mlp(x, weights, biases) -> Tensor:
         _accum(x, g)
 
     return _make(h, [x] + weights + biases, backward)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * out_data)
-
-    return _make(out_data, (a,), backward)
 
 
 def sin(a) -> Tensor:
@@ -396,19 +355,41 @@ def gather(a, index: np.ndarray) -> Tensor:
     return _make(a.data[index], (a,), backward)
 
 
-def segment_sum(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of a into num_segments buckets; empty buckets are zero."""
-    a = as_tensor(a)
-    segment_ids = np.asarray(segment_ids, dtype=np.intp)
-    if segment_ids.shape[0] != a.data.shape[0]:
-        raise ValueError("segment_ids must have one id per row")
-    out_data = np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64)
-    np.add.at(out_data, segment_ids, a.data)
+def attention_aggregate(logits, v, seg: np.ndarray,
+                        n: int) -> tuple[Tensor, Tensor]:
+    """Graph attention as one tape op: the softmax of the (E, 1) logits
+    within each destination group seg, and the attention-weighted sum of
+    the (E, D) values v into n rows.  Returns (agg, attn); attn is data
+    with no gradient path, and rows with no edges aggregate to zero.
+
+    Bitwise equal, value and gradients, to composing a max shift, exp,
+    segment sum, gather, div, mul and segment sum as separate ops: each
+    step below repeats that op's arithmetic in the same order.
+    """
+    logits, v = as_tensor(logits), as_tensor(v)
+    seg = np.asarray(seg, dtype=np.intp)
+    m = np.full(n, -np.inf)
+    if seg.size:
+        np.maximum.at(m, seg, logits.data.ravel())
+    m = np.where(np.isfinite(m), m, 0.0)  # empty groups never indexed
+    e = np.exp(logits.data - m[seg][:, None])
+    total = np.zeros((n, 1))
+    np.add.at(total, seg, e)
+    denom = total[seg]
+    attn = e / denom
+    agg = np.zeros((n,) + v.data.shape[1:])
+    np.add.at(agg, seg, attn * v.data)
 
     def backward(g):
-        _accum(a, g[segment_ids])
+        g = g[seg]
+        if logits.requires_grad:
+            g_attn = _unbroadcast(g * v.data, attn.shape)
+            g_total = np.zeros_like(total)
+            np.add.at(g_total, seg, -g_attn * e / (denom * denom))
+            _accum(logits, (g_attn / denom + g_total[seg]) * e)
+        _accum(v, g * attn)
 
-    return _make(out_data, (a,), backward)
+    return _make(agg, (logits, v), backward), Tensor(attn)
 
 
 def bmatvec(B: np.ndarray, u) -> Tensor:
@@ -442,25 +423,6 @@ def norm2(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along one axis."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accum(a, out_data * (g - dot))
-
-    return _make(out_data, (a,), backward)
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.grad = None
-
-
 def grad_check(f, params, h: float = 1e-5, max_coords: int | None = None,
                rng: np.random.Generator | None = None,
                atol: float = 1e-7) -> float:
@@ -474,12 +436,14 @@ def grad_check(f, params, h: float = 1e-5, max_coords: int | None = None,
     is structurally invariant to, like a softmax logit shift).
     """
     params = list(params)
-    zero_grads(params)
+    for p in params:
+        p.grad = None
     with Tape() as tape:
         loss = f()
         tape.backward(loss)
-    grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    zero_grads(params)
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    for p in params:
+        p.grad = None
 
     if rng is None:
         rng = np.random.default_rng(0)

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -48,8 +49,33 @@ def scenario_to_dict(cfg: world.ScenarioConfig) -> dict:
             "obstacles": obstacles}
 
 
+def _field_value(value, hint, where: str):
+    """value checked against a config field's type hint: an int is
+    accepted for a float, a bool only for a bool, and None only where the
+    hint allows it."""
+    options = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in options:
+        return None
+    kind = options[0]
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    expected = {int: "an integer", float: "a number", bool: "true or false",
+                str: "a string"}[kind]
+    if type(None) in options:
+        expected += " or null"
+    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+
+
+def _json_object(d, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    return d
+
+
 def scenario_from_dict(d: dict) -> world.ScenarioConfig:
-    unknown = set(d) - _SCENARIO_KEYS
+    unknown = set(_json_object(d, "scenario")) - _SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"scenario: unknown keys {sorted(unknown)}")
     missing = _SCENARIO_KEYS - set(d)
@@ -59,19 +85,20 @@ def scenario_from_dict(d: dict) -> world.ScenarioConfig:
         raise ConfigError(f"scenario.model: expected one of {dynamics.KINDS}")
     if d["suite"] not in world.SUITES:
         raise ConfigError(f"scenario.suite: expected one of {world.SUITES}")
+    if not isinstance(d["obstacles"], list):
+        raise ConfigError("scenario.obstacles: expected a list")
     sd = dynamics.make_model(d["model"]).space_dim
     obstacles = tuple(_obstacle_from_dict(ob, f"scenario.obstacles[{k}]", sd)
                       for k, ob in enumerate(d["obstacles"]))
-    return world.ScenarioConfig(
-        model=d["model"], n_agents=int(d["n_agents"]),
-        side_length=float(d["side_length"]), r=float(d["r"]),
-        sensing_radius=float(d["sensing_radius"]), dt=float(d["dt"]),
-        horizon=int(d["horizon"]), seed=int(d["seed"]), suite=d["suite"],
-        obstacles=obstacles)
+    hints = typing.get_type_hints(world.ScenarioConfig)
+    scalars = {k: _field_value(d[k], hints[k], f"scenario.{k}")
+               for k in sorted(_SCENARIO_KEYS - {"model", "suite", "obstacles"})}
+    return world.ScenarioConfig(model=d["model"], suite=d["suite"],
+                                obstacles=obstacles, **scalars)
 
 
 def _obstacle_from_dict(ob: dict, where: str, sd: int) -> world.Obstacle:
-    unknown = set(ob) - _OBSTACLE_KEYS
+    unknown = set(_json_object(ob, where)) - _OBSTACLE_KEYS
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     shape = ob.get("shape")
@@ -123,17 +150,18 @@ _TRAIN_KEYS = {f.name for f in dataclasses.fields(training.TrainConfig)}
 
 
 def train_config_from_dict(d: dict) -> training.TrainConfig:
-    unknown = set(d) - _TRAIN_KEYS
+    unknown = set(_json_object(d, "train config")) - _TRAIN_KEYS
     if unknown:
         raise ConfigError(f"train config: unknown keys {sorted(unknown)}")
     if "model" not in d:
         raise ConfigError("train config: missing key 'model'")
     if d["model"] not in dynamics.KINDS:
         raise ConfigError(f"train config.model: expected one of {dynamics.KINDS}")
+    hints = typing.get_type_hints(training.TrainConfig)
+    overrides = {k: _field_value(v, hints[k], f"train config.{k}")
+                 for k, v in d.items() if k != "model"}
     try:
-        return training.TrainConfig.for_model(d["model"],
-                                              **{k: v for k, v in d.items()
-                                                 if k != "model"})
+        return training.TrainConfig.for_model(d["model"], **overrides)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"train config: {e}")
 

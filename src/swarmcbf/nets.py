@@ -180,19 +180,6 @@ def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
     return ad.mlp(x, p.weights, p.biases)
 
 
-def segment_softmax(logits: Tensor, seg: np.ndarray, n_segments: int) -> Tensor:
-    """Softmax of an (E, 1) column within each destination group."""
-    z = logits.data.ravel()
-    m = np.full(n_segments, -np.inf)
-    if z.size:
-        np.maximum.at(m, seg, z)
-    m = np.where(np.isfinite(m), m, 0.0)  # empty groups never indexed
-    shifted = ad.sub(logits, m[seg][:, None])
-    e = ad.exp(shifted)
-    total = ad.segment_sum(e, seg, n_segments)
-    return ad.div(e, ad.gather(total, seg))
-
-
 def _backbone(embed: MlpParams, gate: MlpParams, value: MlpParams,
               feat: Tensor, flag: np.ndarray, seg: np.ndarray,
               n_agents: int) -> tuple[Tensor, Tensor]:
@@ -200,10 +187,8 @@ def _backbone(embed: MlpParams, gate: MlpParams, value: MlpParams,
     x = ad.concat([Tensor(flag[:, None]), feat], axis=1)
     q = mlp_forward(embed, x)
     logits = mlp_forward(gate, q)
-    attn = segment_softmax(logits, seg, n_agents)
     v = mlp_forward(value, q)
-    agg = ad.segment_sum(ad.mul(attn, v), seg, n_agents)
-    return agg, attn
+    return ad.attention_aggregate(logits, v, seg, n_agents)
 
 
 def _value_dim(p) -> int:

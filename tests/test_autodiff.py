@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 import swarmcbf.autodiff as ad
 from swarmcbf.autodiff import Tensor, Tape, TapeError
 
+import reference_ops
+
 
 def backward_of(build):
     """Run build() under a fresh tape and backprop its scalar output."""
@@ -16,17 +18,6 @@ def backward_of(build):
 
 def test_relu_values():
     assert np.array_equal(ad.relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
-
-
-def test_softmax_symmetry():
-    out = ad.softmax(Tensor([0.0, 0.0]), axis=0)
-    assert np.allclose(out.data, [0.5, 0.5])
-
-
-def test_matmul_identity():
-    v = np.array([[1.0], [2.0], [3.0]])
-    out = ad.matmul(Tensor(np.eye(3)), Tensor(v))
-    assert np.array_equal(out.data, v)
 
 
 def test_backward_sum_gives_ones():
@@ -89,12 +80,6 @@ def test_gather_scatters_gradient():
     assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
-def test_segment_sum_values_and_empty_bucket():
-    x = Tensor(np.array([[1.0], [2.0], [4.0]]))
-    out = ad.segment_sum(x, np.array([0, 0, 2]), 3)
-    assert np.array_equal(out.data, [[3.0], [0.0], [4.0]])
-
-
 def test_clip_gradient_masks_outside():
     x = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
     backward_of(lambda: ad.tensor_sum(ad.clip(x, -1.0, 1.0)))
@@ -141,8 +126,7 @@ def test_grad_check_two_layer_mlp():
     x = rng.normal(size=(4, 3))
 
     def f():
-        h = ad.relu(ad.add(ad.matmul(Tensor(x), W1), b1))
-        return ad.tensor_sum(ad.matmul(h, W2))
+        return ad.tensor_sum(ad.mlp(Tensor(x), [W1, W2], [b1, Tensor(np.zeros(1))]))
 
     err = ad.grad_check(f, [W1, b1, W2])
     assert err < 1e-4
@@ -159,13 +143,9 @@ def test_grad_check_network_composites(seed):
     seg = np.array([0, 0, 1, 1, 1, 2, 2])
 
     def f():
-        q = ad.relu(ad.add(ad.matmul(Tensor(feat), W), b))
-        logits = ad.matmul(q, g)
-        m = logits.data.max()
-        e = ad.exp(ad.sub(logits, m))
-        tot = ad.segment_sum(e, seg, 3)
-        w = ad.div(e, ad.gather(tot, seg))
-        agg = ad.segment_sum(ad.mul(w, q), seg, 3)
+        q = ad.relu(ad.mlp(Tensor(feat), [W], [b]))
+        logits = ad.mlp(q, [g], [Tensor(np.zeros(1))])
+        agg, _ = ad.attention_aggregate(logits, q, seg, 3)
         return ad.tensor_sum(ad.mul(agg, agg))
 
     err = ad.grad_check(f, [W, b, g], max_coords=8, rng=rng)
@@ -183,7 +163,7 @@ def test_grad_check_on_a_one_by_one_output():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(1, 3)))
     W = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
-    assert ad.grad_check(lambda: ad.matmul(x, W), [W]) < 1e-7
+    assert ad.grad_check(lambda: ad.mlp(x, [W], [Tensor(np.zeros(1))]), [W]) < 1e-7
 
 
 def test_backward_frees_intermediates_and_keeps_leaf_grads():
@@ -191,7 +171,7 @@ def test_backward_frees_intermediates_and_keeps_leaf_grads():
     W = Tensor([[0.5, 1.0], [-1.0, 2.0]], requires_grad=True)
     frozen = Tensor([[1.0], [3.0]])
     with Tape() as tape:
-        y = ad.relu(ad.matmul(x, W))
+        y = ad.relu(ad.mlp(x, [W], [Tensor([0.0, 0.0])]))
         z = ad.mlp(y, [W, frozen], [Tensor([0.1, 0.2]), Tensor([0.0])])
         loss = ad.tensor_sum(ad.mul(z, z))
         recorded = len(tape)
@@ -203,14 +183,6 @@ def test_backward_frees_intermediates_and_keeps_leaf_grads():
             tape.backward(loss)
     tape.reset()
     assert len(tape) == 0
-
-
-def _mlp_reference(x, weights, biases):
-    """The per-layer composition ad.mlp must reproduce bit for bit."""
-    h = x
-    for W, b in zip(weights[:-1], biases[:-1]):
-        h = ad.relu(ad.add(ad.matmul(h, W), b))
-    return ad.add(ad.matmul(h, weights[-1]), biases[-1])
 
 
 def _same(a, b):
@@ -273,8 +245,59 @@ def _run_mlp(case, op):
 def test_fused_mlp_bitwise_equals_per_layer_ops(case):
     with np.errstate(invalid="ignore", over="ignore"):
         got_outs, got_grads = _run_mlp(case, ad.mlp)
-        want_outs, want_grads = _run_mlp(case, _mlp_reference)
+        want_outs, want_grads = _run_mlp(case, reference_ops.mlp)
     assert all(_same(g, w) for g, w in zip(got_outs, want_outs))
     assert len(got_grads) == len(want_grads)
     for g, w in zip(got_grads, want_grads):
         assert _same(g, w)
+
+
+@st.composite
+def _attention_cases(draw):
+    n = draw(st.integers(1, 5))
+    # random destinations leave some groups empty and some with one edge
+    seg = np.array(draw(st.lists(st.integers(0, n - 1), max_size=8)), dtype=np.intp)
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(size=(seg.size, 1)) * 3.0
+    logits[rng.random(size=logits.shape) < 0.2] = 0.0
+    if draw(st.booleans()):
+        mask = rng.random(size=logits.shape) < 0.3
+        logits[mask] = [draw(_SPECIAL) for _ in range(int(mask.sum()))]
+    v = rng.normal(size=(seg.size, dim))
+    v[rng.random(size=v.shape) < 0.2] = 0.0
+    return dict(n=n, seg=seg, logits=logits, v=v,
+                upstream=rng.normal(size=(n, dim)),
+                logits_grad=draw(st.booleans()), v_grad=draw(st.booleans()))
+
+
+def _run_attention(case, op):
+    """Outputs and both gradients of sum(upstream * agg) for one call."""
+    logits = Tensor(case["logits"], requires_grad=case["logits_grad"])
+    v = Tensor(case["v"], requires_grad=case["v_grad"])
+    with Tape() as tape:
+        agg, attn = op(logits, v, case["seg"], case["n"])
+        loss = ad.tensor_sum(ad.mul(agg, Tensor(case["upstream"])))
+        if len(tape):
+            tape.backward(loss)
+    return [agg.data, attn.data, logits.grad, v.grad], len(tape)
+
+
+@given(_attention_cases())
+@settings(max_examples=500, deadline=None)
+def test_attention_aggregate_bitwise_equals_per_op_softmax(case):
+    with np.errstate(all="ignore"):
+        got, got_records = _run_attention(case, ad.attention_aggregate)
+        want, _ = _run_attention(case, reference_ops.attention_aggregate)
+    for g, w in zip(got, want):
+        assert _same(g, w)
+    assert got_records == (3 if case["logits_grad"] or case["v_grad"] else 0)
+
+
+def test_attention_aggregate_groups_and_empty_rows():
+    logits = Tensor([[0.0], [np.log(3.0)], [5.0]])
+    v = Tensor([[4.0, 0.0], [0.0, 4.0], [1.0, 2.0]])
+    agg, attn = ad.attention_aggregate(logits, v, np.array([0, 0, 2]), 3)
+    assert np.allclose(attn.data.ravel(), [0.25, 0.75, 1.0])
+    assert np.allclose(agg.data, [[1.0, 3.0], [0.0, 0.0], [1.0, 2.0]])
+    assert not attn.requires_grad

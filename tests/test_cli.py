@@ -78,6 +78,18 @@ def test_simulate_bad_obstacle_exits_2(tmp_path, capsys, obstacle):
     assert "scenario.obstacles[0].center" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_agents", "many"), ("dt", None), ("horizon", [1]), ("obstacles", 3),
+    ("side_length", True), ("seed", 1.5), ("obstacles", [3]),
+])
+def test_simulate_bad_scenario_field_exits_2(tmp_path, capsys, field, value):
+    scn_path = write_json(tmp_path / "s.json", scenario_dict(**{field: value}))
+    rc = main(["simulate", "--scenario", scn_path, "--out",
+               str(tmp_path / "o.jsonl"), "--nominal-only"])
+    assert rc == 2
+    assert f"scenario.{field}" in capsys.readouterr().err
+
+
 def test_scenario_roundtrip(tmp_path):
     cfg = world.make_scenario_config("DubinsCar", 4, "obstacles", 11,
                                      n_obstacles=3)
@@ -109,6 +121,34 @@ def test_train_config_accepts_every_trainconfig_field(tmp_path):
     assert (cfg.paired_fraction, cfg.spawn_speed) == (0.25, 0.5)
     with pytest.raises(ConfigError, match="dense_fractions"):
         cli.train_config_from_dict({"model": "SimpleCar", "dense_fractions": 0.3})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("steps", "abc"), ("n_agents", "x"), ("scale", "big"),
+    ("rollout_length", None), ("point_obstacles", 1), ("seed", True),
+])
+def test_train_config_wrong_type_names_the_field(tmp_path, capsys, field, value):
+    with pytest.raises(ConfigError, match=rf"train config\.{field}: expected"):
+        cli.train_config_from_dict(train_dict(**{field: value}))
+    path = write_json(tmp_path / "t.json", train_dict(**{field: value}))
+    assert main(["train", "--config", path]) == 2
+    assert f"train config.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [3, None, "abc", [["model", "SimpleCar"]]])
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, content):
+    path = write_json(tmp_path / "c.json", content)
+    with pytest.raises(ConfigError, match="expected a JSON object"):
+        cli.load_scenario(path)
+    with pytest.raises(ConfigError, match="expected a JSON object"):
+        cli.load_train_config(path)
+
+
+def test_train_config_accepts_ints_for_floats_and_null_where_allowed():
+    cfg = cli.train_config_from_dict(train_dict(scale=1, side_length=None,
+                                                sensing_radius=None))
+    assert cfg.scale == 1.0 and isinstance(cfg.scale, float)
+    assert cfg.side_length is None and cfg.sensing_radius is None
 
 
 def test_train_zero_steps_writes_init_checkpoint(tmp_path):

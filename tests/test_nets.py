@@ -7,6 +7,8 @@ import swarmcbf.autodiff as ad
 from swarmcbf import dynamics as dyn, evaluation, nets, runtime, training, world
 from swarmcbf.autodiff import Tape, Tensor
 
+import reference_ops
+
 CAR = dyn.make_model("SimpleCar")
 EDGE_DIM = dyn.edge_feature_dim(CAR)
 
@@ -188,10 +190,12 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 def _per_layer_mlp_forward(p, x):
     """mlp_forward as matmul, add and relu tape ops per layer: the reference
     the fused ad.mlp op must match bit for bit."""
-    h = x
-    for W, b in zip(p.weights[:-1], p.biases[:-1]):
-        h = ad.relu(ad.add(ad.matmul(h, W), b))
-    return ad.add(ad.matmul(h, p.weights[-1]), p.biases[-1])
+    return reference_ops.mlp(x, p.weights, p.biases)
+
+
+# each fused op against its per-op reference, one at a time
+_REFERENCES = [(nets, "mlp_forward", _per_layer_mlp_forward),
+               (ad, "attention_aggregate", reference_ops.attention_aggregate)]
 
 
 def _bitwise(a, b):
@@ -218,17 +222,20 @@ def test_training_loss_and_grads_match_per_layer_mlp(monkeypatch, n_obstacles):
     params = barrier.tensors() + policy.tensors()
 
     def loss_and_grads():
-        ad.zero_grads(params)
+        for p in params:
+            p.grad = None
         with Tape() as tape:
             total, _ = training.loss(barrier, policy, samples, CAR, cfg)
             tape.backward(total)
         return [total.data] + [p.grad for p in params]
 
     got = loss_and_grads()
-    monkeypatch.setattr(nets, "mlp_forward", _per_layer_mlp_forward)
-    want = loss_and_grads()
-    assert sum(g is not None for g in got) > len(params) // 2
-    assert all(_bitwise(g, w) for g, w in zip(got, want))
+    for owner, name, reference in _REFERENCES:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, reference)
+            want = loss_and_grads()
+        assert sum(g is not None for g in got) > len(params) // 2
+        assert all(_bitwise(g, w) for g, w in zip(got, want))
 
 
 def test_select_control_matches_per_layer_mlp(monkeypatch):
@@ -258,10 +265,12 @@ def test_select_control_matches_per_layer_mlp(monkeypatch):
                  np.array([d.hdot_value for d in out])) for out in steps]
 
     got = decisions()
-    monkeypatch.setattr(nets, "mlp_forward", _per_layer_mlp_forward)
-    want = decisions()
-    assert len(got) == len(want) == 4
-    assert any(mode == "refined" for _, modes, _, _ in got for mode in modes)
-    for (u, modes, h, hdot), (u0, modes0, h0, hdot0) in zip(got, want):
-        assert modes == modes0
-        assert _bitwise(u, u0) and _bitwise(h, h0) and _bitwise(hdot, hdot0)
+    for owner, name, reference in _REFERENCES:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, reference)
+            want = decisions()
+        assert len(got) == len(want) == 4
+        assert any(mode == "refined" for _, modes, _, _ in got for mode in modes)
+        for (u, modes, h, hdot), (u0, modes0, h0, hdot0) in zip(got, want):
+            assert modes == modes0
+            assert _bitwise(u, u0) and _bitwise(h, h0) and _bitwise(hdot, hdot0)

@@ -230,6 +230,19 @@ def test_loss_gradient_matches_finite_differences():
     assert err < 1e-4
 
 
+def test_desk_loss_tape_stays_small():
+    """One record per network MLP and per attention step: the desk loss
+    records 68 ops (86 when attention was seven per-op records)."""
+    cfg = desk_cfg(n_agents=8, side_length=3.0)
+    barrier, policy = nets.init(0, cfg.scale, 4, 2)
+    scn = training.scenario_sampler(cfg)(np.random.default_rng(0))
+    samples = collect_rollout(CAR, policy, scn, 8, 0.5, np.random.default_rng(1))
+    with Tape() as tape:
+        total, _ = loss(barrier, policy, samples, CAR, cfg)
+        tape.backward(total)
+    assert len(tape) <= 70
+
+
 def test_neighbor_gradient_reaches_policy():
     """A safe two-agent sample with an active derivative hinge must push
     gradient into the policy parameters through the virtual step."""
