@@ -93,8 +93,11 @@ def scenario_from_dict(d: dict) -> world.ScenarioConfig:
     hints = typing.get_type_hints(world.ScenarioConfig)
     scalars = {k: _field_value(d[k], hints[k], f"scenario.{k}")
                for k in sorted(_SCENARIO_KEYS - {"model", "suite", "obstacles"})}
-    return world.ScenarioConfig(model=d["model"], suite=d["suite"],
-                                obstacles=obstacles, **scalars)
+    try:
+        return world.ScenarioConfig(model=d["model"], suite=d["suite"],
+                                    obstacles=obstacles, **scalars)
+    except ValueError as e:
+        raise ConfigError(f"scenario.{e}")
 
 
 def _obstacle_from_dict(ob: dict, where: str, sd: int) -> world.Obstacle:
@@ -162,8 +165,8 @@ def train_config_from_dict(d: dict) -> training.TrainConfig:
                  for k, v in d.items() if k != "model"}
     try:
         return training.TrainConfig.for_model(d["model"], **overrides)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"train config: {e}")
+    except ValueError as e:
+        raise ConfigError(f"train config.{e}")
 
 
 def load_train_config(path) -> training.TrainConfig:

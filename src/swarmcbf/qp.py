@@ -1,8 +1,8 @@
 """Handcrafted pairwise barrier for the planar double integrator and
 centralized/decentralized QP safety filters.  The centralized filter's
-joint problem goes to an embedded dense QP solver (active set, then
-operator splitting + polish); the decentralized filter's per-agent
-2-variable problems are solved exactly in one vectorized batch.
+joint problem goes to an exact dense solver, the dual active-set method
+of Goldfarb & Idnani; the decentralized filter's per-agent 2-variable
+problems are solved exactly in one vectorized batch.
 
 Pair barrier between states x1, x2 (layout [px, py, vx, vy]):
 
@@ -38,13 +38,12 @@ def pair_hdot_coeffs(x1: np.ndarray, x2: np.ndarray):
 
 @dataclass
 class QpProblem:
-    """min sum w_i (u_i - center_i)^2  s.t.  A u >= b,  lb <= u <= ub."""
+    """min |u - center|^2  s.t.  A u >= b,  lb <= u <= ub."""
     center: np.ndarray
     A: np.ndarray
     b: np.ndarray
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
-    weights: np.ndarray | None = None
 
     def full_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """All inequalities in A u >= b form, bounds folded in."""
@@ -63,8 +62,8 @@ class QpProblem:
         return np.concatenate(rows, axis=0), np.concatenate(rhs)
 
     def p_diag(self) -> np.ndarray:
-        w = np.ones_like(self.center) if self.weights is None else self.weights
-        return 2.0 * w
+        """Diagonal of the Hessian of the objective."""
+        return np.full(self.center.shape, 2.0)
 
 
 @dataclass
@@ -91,140 +90,63 @@ def kkt_residual(problem: QpProblem, u: np.ndarray, lam: np.ndarray) -> float:
     return res
 
 
-def _solve_eqp(p: np.ndarray, c: np.ndarray, Aw: np.ndarray, bw: np.ndarray):
-    """Equality-constrained subproblem; returns (u, lam, consistent)."""
-    n = p.shape[0]
-    k = Aw.shape[0]
-    if k == 0:
-        return c / p, np.zeros(0), True
-    KKT = np.zeros((n + k, n + k))
-    KKT[:n, :n] = np.diag(p)
-    KKT[:n, n:] = -Aw.T
-    KKT[n:, :n] = Aw
-    rhs = np.concatenate([c, bw])
-    try:
-        sol = np.linalg.solve(KKT, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-    u, lam = sol[:n], sol[n:]
-    consistent = bool(np.max(np.abs(Aw @ u - bw)) < 1e-7 * (1.0 + np.max(np.abs(bw), initial=0.0)))
-    return u, lam, consistent
+# Steps (one row added or dropped each) after which solve_qp gives up; the
+# dual active-set method ends in finitely many, so only rounding reaches it.
+MAX_STEPS = 10_000
 
 
-def _solve_active_set(problem: QpProblem, tol: float, max_iter: int) -> QpResult:
-    """Start at the unconstrained minimum; add the most violated row,
-    dropping rows whose multipliers go negative."""
+def solve_qp(problem: QpProblem, tol: float = 1e-8) -> QpResult:
+    """Dual active-set method of Goldfarb & Idnani (Math. Programming 27,
+    1983).  Start at the unconstrained minimum `center`; while a row is
+    violated by more than tol times its norm, add the most violated one q
+    by moving u and the multipliers together so that the active rows stay
+    met.  Over the k active rows N that move is the k x k solve
+    (N P^-1 N^T) r = N P^-1 n_q, as P is diagonal, and it stops at the
+    first of: q met (the full step, q joins), or an active multiplier
+    reaching 0 (the partial step, that row leaves).  Neither existing means
+    no point meets the rows, so the problem is infeasible; so is any
+    non-finite input.  "optimal" is decided by the final KKT check."""
     A, b = problem.full_rows()
-    p = problem.p_diag()
-    c = p * problem.center
-    u = problem.center.copy()
-    m = A.shape[0]
-    lam_full = np.zeros(m)
+    pinv = 1.0 / problem.p_diag()
+    u = np.array(problem.center, dtype=np.float64)
+    lam = np.zeros(A.shape[0])
+    if not (np.isfinite(u).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        return QpResult(u, "infeasible", 0, np.inf, lam)
+    slack_tol = tol * np.sqrt((A * A).sum(1))
     active: list[int] = []
-    feas_tol = tol * 10.0
-
-    for it in range(1, max_iter + 1):
-        viol = b - A @ u if m else np.zeros(0)
-        if m == 0 or viol.max() <= feas_tol:
-            lam_full[:] = 0.0
-            for idx, j in enumerate(active):
-                lam_full[j] = max(0.0, _last_lam[idx]) if active else 0.0
-            res = kkt_residual(problem, u, lam_full)
-            status = "optimal" if res <= max(tol, 1e-7) else "infeasible"
-            return QpResult(u=u, status=status, iterations=it,
-                            kkt_residual=res, lam=lam_full)
-        j = int(np.argmax(viol))
-        if j not in active:
-            active.append(j)
-        for _ in range(max_iter):
-            u_new, lam_w, consistent = _solve_eqp(p, c, A[active], b[active])
-            if not consistent:
-                return QpResult(u=u, status="infeasible", iterations=it,
-                                kkt_residual=np.inf, lam=lam_full)
-            if lam_w.size == 0 or lam_w.min() >= -tol:
-                u = u_new
-                _last_lam = lam_w
-                break
-            active.pop(int(np.argmin(lam_w)))
+    q = -1
+    for it in range(1, MAX_STEPS + 1):
+        if q < 0:
+            viol = b - A @ u - slack_tol
+            if not viol.size or viol.max() <= 0.0:
+                res = kkt_residual(problem, u, lam)
+                status = "optimal" if res <= max(tol, 1e-7) else "infeasible"
+                return QpResult(u, status, it, res, lam)
+            q = int(np.argmax(viol))
+        n, N = A[q], A[active]
+        r = np.linalg.solve((N * pinv) @ N.T, (N * pinv) @ n)
+        z = pinv * (n - N.T @ r)
+        # full step: q met; none when n_q lies in the span of the active rows
+        zn = z @ n
+        t_full = (b[q] - n @ u) / zn if zn > 1e-12 * (n @ (pinv * n)) else np.inf
+        # partial step: the first active multiplier to reach 0
+        pos = np.flatnonzero(r > 0.0)
+        ratios = lam[active][pos] / r[pos]
+        t_part = ratios.min(initial=np.inf)
+        t = min(t_full, t_part)
+        if t == np.inf:
+            return QpResult(u, "infeasible", it, np.inf, lam)
+        if t_full < np.inf:
+            u = u + t * z
+        lam[active] -= t * r
+        lam[q] += t
+        if t_full <= t_part:
+            active.append(q)
+            q = -1
         else:
-            return QpResult(u=u, status="infeasible", iterations=it,
-                            kkt_residual=np.inf, lam=lam_full)
-    return QpResult(u=u, status="infeasible", iterations=max_iter,
-                    kkt_residual=np.inf, lam=lam_full)
-
-
-def _try_polish(problem: QpProblem, A, b, p, c, x, y, tol) -> QpResult | None:
-    """Re-solve on the rows the splitting iterate marks active; accept only
-    if the polished point passes the full KKT check."""
-    lam = np.maximum(-y, 0.0)
-    act = np.nonzero((lam > 1e-8) | (np.abs(A @ x - b) < 1e-6))[0]
-    u_pol, lam_w, consistent = _solve_eqp(p, c, A[act], b[act])
-    if not consistent:
-        return None
-    if lam_w.size and lam_w.min() < -tol:
-        return None
-    lam_pol = np.zeros(A.shape[0])
-    lam_pol[act] = np.maximum(lam_w, 0.0)
-    res_pol = kkt_residual(problem, u_pol, lam_pol)
-    if res_pol <= max(tol, 1e-7):
-        return QpResult(u=u_pol, status="optimal", iterations=0,
-                        kkt_residual=res_pol, lam=lam_pol)
-    return None
-
-
-def _solve_admm(problem: QpProblem, tol: float, max_iter: int) -> QpResult:
-    """Operator-splitting iterations with periodic active-set polish."""
-    A, b = problem.full_rows()
-    p = problem.p_diag()
-    c = p * problem.center
-    m = A.shape[0]
-    if m == 0:
-        return QpResult(u=problem.center.copy(), status="optimal", iterations=0,
-                        kkt_residual=0.0, lam=np.zeros(0))
-    rho, sigma = 10.0, 1e-6
-    M = np.diag(p + sigma) + rho * (A.T @ A)
-    Mf = np.linalg.cholesky(M)
-    x = problem.center.copy()
-    z = A @ x
-    y = np.zeros(m)
-    y_prev = y.copy()
-    it = 0
-    for it in range(1, max_iter + 1):
-        rhs = sigma * x + c + A.T @ (rho * z - y)
-        x = np.linalg.solve(Mf.T, np.linalg.solve(Mf, rhs))
-        Ax = A @ x
-        z = np.maximum(Ax + y / rho, b)      # one-sided: A u >= b
-        y = y + rho * (Ax - z)
-        if it % 25 == 0 or it == max_iter:
-            polished = _try_polish(problem, A, b, p, c, x, y, tol)
-            if polished is not None:
-                polished.iterations = it
-                return polished
-            # primal infeasibility certificate: v >= 0 with A^T v ~ 0 and
-            # b^T v > 0 built from the dual iterate drift
-            v = -(y - y_prev)
-            vn = np.linalg.norm(v, np.inf)
-            if vn > 1e-12:
-                if (np.linalg.norm(A.T @ v, np.inf) <= 1e-8 * vn
-                        and b @ v > 1e-8 * vn):
-                    return QpResult(u=x, status="infeasible", iterations=it,
-                                    kkt_residual=np.inf, lam=np.maximum(-y, 0.0))
-            y_prev = y.copy()
-    lam = np.maximum(-y, 0.0)
-    res = kkt_residual(problem, x, lam)
-    status = "optimal" if res <= max(tol, 1e-6) else "infeasible"
-    return QpResult(u=x, status=status, iterations=it, kkt_residual=res, lam=lam)
-
-
-def solve_qp(problem: QpProblem, tol: float = 1e-8, max_iter: int = 10_000) -> QpResult:
-    """Active-set first (few constraints ever activate in the safety
-    filters); operator-splitting fallback for anything it cannot finish,
-    which in practice means the large centralized joint problems."""
-    m = problem.full_rows()[0].shape[0]
-    out = _solve_active_set(problem, tol, min(max_iter, 3 * m + 50))
-    if out.status != "optimal":
-        out = _solve_admm(problem, tol, max_iter)
-    return out
+            drop = active.pop(int(pos[np.argmin(ratios)]))
+            lam[drop] = 0.0
+    return QpResult(u, "infeasible", MAX_STEPS, np.inf, lam)
 
 
 def solve_qp2_batch(center: np.ndarray, A: np.ndarray, b: np.ndarray,

@@ -73,10 +73,22 @@ class TrainConfig:
     paired_fraction: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "gamma", "eta_safe", "eta_unsafe", "eta_deriv",
-                     "lr_h", "lr_pi"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        world.check_ranges((
+            *((name, getattr(self, name) > 0, "a positive number")
+              for name in ("alpha", "gamma", "eta_safe", "eta_unsafe", "eta_deriv",
+                           "lr_h", "lr_pi", "dt", "r")),
+            ("eta_ctrl", self.eta_ctrl >= 0, "a number >= 0"),
+            ("steps", self.steps >= 0, "at least 0"),
+            ("rollout_length", self.rollout_length >= 1, "at least 1"),
+            ("n_agents", self.n_agents >= 1, "at least 1"),
+            *((name, getattr(self, name) is None or getattr(self, name) > 0,
+               "a positive number or null") for name in ("side_length", "sensing_radius")),
+            ("n_obstacles", self.n_obstacles >= 0, "at least 0"),
+            ("checkpoint_every", self.checkpoint_every >= 0, "at least 0"),
+            ("scale", 0 < self.scale <= 1, "a number in (0, 1]"),
+            *((name, 0 <= getattr(self, name) <= 1, "a number in [0, 1]")
+              for name in ("spawn_speed", "dense_fraction", "paired_fraction")),
+            ("dense_side_factor", 0 < self.dense_side_factor <= 1, "a number in (0, 1]")))
 
     @staticmethod
     def for_model(kind: str, **overrides) -> "TrainConfig":

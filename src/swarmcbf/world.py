@@ -450,6 +450,14 @@ def label_sample(graph: GraphSnapshot, i: int, r: float) -> int:
     return int(label_all(graph, r)[i])
 
 
+def check_ranges(checks) -> None:
+    """Raise ValueError("<field>: expected <range>") for the first
+    (field, in range, range) triple that is out of range."""
+    for name, ok, want in checks:
+        if not ok:
+            raise ValueError(f"{name}: expected {want}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to reproduce one scenario; mirrors the on-disk
@@ -464,6 +472,14 @@ class ScenarioConfig:
     seed: int = 0
     suite: str = "keep_density"
     obstacles: tuple[Obstacle, ...] = ()
+
+    def __post_init__(self):
+        check_ranges((("n_agents", self.n_agents >= 1, "at least 1"),
+                      ("side_length", self.side_length > 0, "a positive number"),
+                      ("r", self.r > 0, "a positive number"),
+                      ("sensing_radius", self.sensing_radius > 0, "a positive number"),
+                      ("dt", self.dt > 0, "a positive number"),
+                      ("horizon", self.horizon >= 0, "at least 0")))
 
 
 @dataclass(frozen=True)

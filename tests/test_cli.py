@@ -81,6 +81,7 @@ def test_simulate_bad_obstacle_exits_2(tmp_path, capsys, obstacle):
 @pytest.mark.parametrize("field,value", [
     ("n_agents", "many"), ("dt", None), ("horizon", [1]), ("obstacles", 3),
     ("side_length", True), ("seed", 1.5), ("obstacles", [3]),
+    ("n_agents", 0), ("dt", 0), ("r", -0.05), ("horizon", -1), ("sensing_radius", 0),
 ])
 def test_simulate_bad_scenario_field_exits_2(tmp_path, capsys, field, value):
     scn_path = write_json(tmp_path / "s.json", scenario_dict(**{field: value}))
@@ -126,6 +127,8 @@ def test_train_config_accepts_every_trainconfig_field(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("steps", "abc"), ("n_agents", "x"), ("scale", "big"),
     ("rollout_length", None), ("point_obstacles", 1), ("seed", True),
+    ("rollout_length", 0), ("n_agents", 0), ("scale", 2.0), ("dt", 0), ("steps", -3),
+    ("dense_fraction", 2.0),
 ])
 def test_train_config_wrong_type_names_the_field(tmp_path, capsys, field, value):
     with pytest.raises(ConfigError, match=rf"train config\.{field}: expected"):

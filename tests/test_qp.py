@@ -63,6 +63,22 @@ def test_hdot_coeffs_match_finite_difference():
 
 # --- solver -------------------------------------------------------------------
 
+def _kkt_solve(p, c, Aw, bw):
+    """min 1/2 u^T diag(p) u - c^T u with the rows Aw u = bw, by one KKT
+    solve (least squares when singular); returns (u, lam, consistent)."""
+    n, k = p.shape[0], Aw.shape[0]
+    KKT = np.block([[np.diag(p), -Aw.T], [Aw, np.zeros((k, k))]])
+    rhs = np.concatenate([c, bw])
+    try:
+        sol = np.linalg.solve(KKT, rhs)
+    except np.linalg.LinAlgError:
+        sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
+    u, lam = sol[:n], sol[n:]
+    consistent = bool(np.max(np.abs(Aw @ u - bw), initial=0.0)
+                      < 1e-7 * (1.0 + np.max(np.abs(bw), initial=0.0)))
+    return u, lam, consistent
+
+
 def brute_force_qp(problem):
     """Independent oracle: enumerate candidate active sets, solve the KKT
     system for each, keep the feasible one with nonnegative multipliers."""
@@ -74,7 +90,7 @@ def brute_force_qp(problem):
     for k in range(m + 1):
         for S in combinations(range(m), k):
             S = list(S)
-            u, lam, consistent = qp._solve_eqp(p, c, A[S], b[S])
+            u, lam, consistent = _kkt_solve(p, c, A[S], b[S])
             if not consistent:
                 continue
             if m and (A @ u - b).min() < -1e-9:
@@ -138,14 +154,14 @@ def test_infeasible_detection():
     assert out.status == "infeasible"
 
 
-def test_operator_splitting_path_large_problem():
+def test_large_problem():
     rng = np.random.default_rng(11)
     n = 100
     A = rng.normal(size=(30, n))
     b = rng.normal(size=30) - 2.0
     prob = qp.QpProblem(center=rng.normal(size=n), A=A, b=b,
                         lb=np.full(n, -10.0), ub=np.full(n, 10.0))
-    out = qp._solve_admm(prob, tol=1e-8, max_iter=10_000)
+    out = qp.solve_qp(prob)
     assert out.status == "optimal"
     assert out.kkt_residual < 1e-7
 
@@ -269,27 +285,33 @@ def test_batched_qp2_matches_enumeration_oracle(case):
         A[k, :len(bk)], b[k, :len(bk)] = Ak, bk
     u, solved = qp.solve_qp2_batch(np.array([c for c, _, _ in problems]), A, b, bound)
     for k, (center, Ak, bk) in enumerate(problems):
-        ref = brute_force_qp(qp.QpProblem(center, Ak, bk, lb=np.full(2, -bound),
-                                          ub=np.full(2, bound)))
+        problem = qp.QpProblem(center, Ak, bk, lb=np.full(2, -bound), ub=np.full(2, bound))
+        ref = brute_force_qp(problem)
+        dense = qp.solve_qp(problem)
         clipped = np.clip(center, -bound, bound)
         clipped_meets_rows = not Ak.size or (Ak @ clipped - bk).min() >= 0.0
         assert solved[k] == (ref is not None)
+        assert (dense.status == "optimal") == (ref is not None)
         if ref is not None:
             assert np.abs(u[k] - ref).max() <= 1e-9
+            assert np.abs(dense.u - ref).max() <= 1e-9
             assert np.abs(u[k]).max() <= bound
         if ref is None or clipped_meets_rows:
             assert np.array_equal(u[k], clipped)    # the answer or the fallback
 
 
+PINNED_CENTER = np.array([10.0, 1.0445155589421666])
+PINNED_A = np.array([[-0.35370116035170795, -1.176512741058744],
+                     [-0.9303055332694292, 1.2304166872881268],
+                     [0.07001056353280109, 0.9975462500525074]])
+PINNED_B = np.array([2.600975719453799, -8.138083534211134, -3.700743415417189e-15])
+
+
 def test_batched_qp2_solves_a_problem_the_dense_solver_calls_infeasible():
-    """Step 10, agent 34 of the mdcbf_qp benchmark round at seed 1.  The
-    per-agent dense solver (active set, then operator splitting) called it
-    infeasible; a point meets every row."""
-    center = np.array([10.0, 1.0445155589421666])
-    A = np.array([[-0.35370116035170795, -1.176512741058744],
-                  [-0.9303055332694292, 1.2304166872881268],
-                  [0.07001056353280109, 0.9975462500525074]])
-    b = np.array([2.600975719453799, -8.138083534211134, -3.700743415417189e-15])
+    """Step 10, agent 34 of the mdcbf_qp benchmark round at seed 1: the
+    nominal, on the box edge, violates one row, and the optimum is that
+    row's crossing with a second one near the opposite edge, 19.6 away."""
+    center, A, b = PINNED_CENTER, PINNED_A, PINNED_B
     u, solved = qp.solve_qp2_batch(center[None], A[None], b[None], 10.0)
     assert solved[0]
     assert np.abs(u[0] - [-9.59308632, 0.67326941]).max() < 1e-8
@@ -301,6 +323,14 @@ def test_batched_qp2_solves_a_problem_the_dense_solver_calls_infeasible():
                                  "jac": lambda x: A}],
                    options={"ftol": 1e-15, "maxiter": 500}).x
     assert np.abs(u[0] - ref).max() <= 1e-9
+
+
+def test_dense_solver_solves_the_pinned_problem():
+    out = qp.solve_qp(qp.QpProblem(PINNED_CENTER, PINNED_A, PINNED_B,
+                                   lb=np.full(2, -10.0), ub=np.full(2, 10.0)))
+    assert out.status == "optimal"
+    assert np.abs(out.u - [-9.59308632, 0.67326941]).max() < 1e-8
+    assert out.kkt_residual < 1e-8
 
 
 def _per_agent_filter(states, nominals, alpha, r, R, bound=10.0,
@@ -389,3 +419,11 @@ def test_decentralized_non_finite_nominal_falls_back_alone():
     out = qp.decentralized_filter(states, nominals, 5.0, 0.05, 1.0)
     assert out.fallback.tolist() == [True, False]
     assert np.array_equal(out.controls, nominals, equal_nan=True)
+
+
+def test_centralized_non_finite_nominal_falls_back():
+    states = np.array([[0.0, 0, 0, 0], [5.0, 5, 0, 0], [5.3, 5, 0, 0]])
+    nominals = np.array([[np.nan, 0.0], [1.0, 1.0], [np.inf, 20.0]])
+    out = qp.centralized_filter(states, nominals, 5.0, 0.05, 1.0)
+    assert out.fallback.all()
+    assert np.array_equal(out.controls, np.clip(nominals, -10.0, 10.0), equal_nan=True)
